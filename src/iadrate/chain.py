@@ -5,7 +5,6 @@ and the spectrum of the time-reversal composition P* P in l2(1/mu).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -13,13 +12,14 @@ from . import linalg
 from .errors import (
     DimensionError,
     InconsistentSteadyStateError,
-    NonConvergenceError,
     NotStochasticError,
     ReducibleMatrixError,
 )
 
 NEG_CLAMP = 1e-14
 COLSUM_TOL = 1e-12
+# States censored per block of the steady-state elimination.
+_GTH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -119,58 +119,44 @@ def ensure_contractive(P):
     return StochasticMatrix(mat=half)
 
 
-def _apply_power(Pbar, z, k, renorm_every=64):
-    """Apply Pbar to z k times, renormalizing to total mass one periodically.
+def steady_state(P):
+    """Steady state by Grassmann-Taksar-Heyman state reduction.
 
-    Chunks of renorm_every applications are carried out through a
-    precomputed matrix power; renormalization between chunks kills drift.
+    Works on the row-stochastic transpose A = P^T and censors states out
+    from last to first. The pivot of state k is the mass it sends to the
+    states still kept, A[k, :k].sum(), so no step subtracts and every
+    component comes out to high relative accuracy. States go _GTH_BLOCK
+    at a time. Within a block, each step first brings its own row and
+    column up to date with the block's earlier steps, one product each,
+    and updates only the block's square; the leading block then takes
+    the whole block's deferred update as one matrix product.
+
+    A zero pivot (a closed class among the censored states) or a zero
+    component (a transient state) raises ReducibleMatrixError; both are
+    exact tests of irreducibility.
     """
-    n = Pbar.shape[0]
-    if k < renorm_every:
-        for _ in range(k):
-            z = Pbar @ z
-        s = z.sum()
-        return z / s if s != 0 else z
-    block = np.linalg.matrix_power(Pbar, renorm_every)
-    full, rem = divmod(k, renorm_every)
-    for _ in range(full):
-        z = block @ z
-        z = z / z.sum()
-    for _ in range(rem):
-        z = Pbar @ z
-    return z / z.sum()
-
-
-def steady_state(P, tol=1e-9, kpow=2**15):
-    """Steady state by QR null-vector start plus power refinement.
-
-    Works on the lazy matrix Pbar = (I + P)/2, which has the same steady
-    state and no periodicity. The initial guess is the null vector of
-    I - Pbar; refinement applies Pbar kpow times per round until both the
-    self-consistency and step-change criteria drop below tol.
-    """
-    if not is_irreducible(P):
-        raise ReducibleMatrixError("steady_state: P is reducible")
-    A = P.mat
+    A = np.array(P.mat.T, dtype=float)
     n = P.n
-    if n == 1:
-        return ProbabilityVector(probs=np.array([1.0]))
-    Pbar = 0.5 * (np.eye(n) + A)
-    v = linalg.qr_null_vector(np.eye(n) - Pbar)
-    if v.sum() < 0:
-        v = -v
-    v = np.maximum(v, 0.0)
-    s = v.sum()
-    z_old = v / s if s > 0 else np.full(n, 1.0 / n)
-    for _ in range(50):
-        z_new = _apply_power(Pbar, z_old, kpow)
-        if np.all(z_new > 0):
-            resid = np.max(np.abs(z_new - A @ z_new) / z_new)
-            change = np.max(np.abs(z_new - z_old) / np.maximum(z_old, 1e-300))
-            if resid < tol and change < tol:
-                return ProbabilityVector(probs=z_new / z_new.sum())
-        z_old = z_new
-    raise NonConvergenceError("steady_state: no convergence in 50 refinement rounds")
+    for hi in range(n, 1, -_GTH_BLOCK):
+        lo = max(hi - _GTH_BLOCK, 0)
+        for k in range(hi - 1, max(lo, 1) - 1, -1):
+            A[k, :lo] += A[k, k + 1:hi] @ A[k + 1:hi, :lo]
+            A[:lo, k] += A[:lo, k + 1:hi] @ A[k + 1:hi, k]
+            s = A[k, :k].sum()
+            if s <= 0.0:
+                raise ReducibleMatrixError(
+                    f"steady_state: P is reducible (zero pivot at state {k})"
+                )
+            A[:k, k] /= s
+            A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
+        A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    if not np.all(pi > 0):
+        raise ReducibleMatrixError("steady_state: P is reducible (transient state)")
+    return ProbabilityVector(probs=pi / pi.sum())
 
 
 def time_reversal(P, mu):
@@ -227,6 +213,8 @@ def pstar_p_spectrum(P, mu):
 
 def save_matrix(path, P):
     """Write a matrix in Matrix Market coordinate format."""
+    import scipy.io  # on use: a solve need not pay for its import
+
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(P.mat))
 
 
@@ -235,6 +223,8 @@ def load_matrix(path, transpose=False):
 
     transpose=True ingests row-stochastic data by transposing on load.
     """
+    import scipy.io  # on use: a solve need not pay for its import
+
     M = scipy.io.mmread(str(path))
     if scipy.sparse.issparse(M):
         M = M.toarray()

@@ -19,17 +19,11 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class IadConfig:
     tau: float = 1e-9
-    coarse_tau: float = 1e-9
-    coarse_k: int = 2**15
     max_outer: int = 10000
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("IadConfig: tau must be positive")
-        if not self.coarse_tau > 0:
-            raise ValueError("IadConfig: coarse_tau must be positive")
-        if self.coarse_k < 1:
-            raise ValueError("IadConfig: coarse_k must be at least 1")
         if self.max_outer < 1:
             raise ValueError("IadConfig: max_outer must be at least 1")
 
@@ -44,25 +38,14 @@ class IadTrace:
     residuals: list = field(default_factory=list)
 
 
-def coarse_steady_state(C, cfg=None):
-    """Steady state of the (small) coarse matrix.
-
-    Delegates to the lazy-matrix power solver; a reducible coarse matrix
-    raises, which is how the known pathological aggregations surface.
-    """
-    if cfg is None:
-        cfg = IadConfig()
-    return steady_state(C, tol=cfg.coarse_tau, kpow=cfg.coarse_k)
-
-
-def iad_step(P, part, mu_k, cfg=None):
+def iad_step(P, part, mu_k):
     """One coarse correction plus one smoothing application of P."""
-    if cfg is None:
-        cfg = IadConfig()
     if np.any(mu_k.probs <= 0):
         raise ValueError("iad_step: iterate must be strictly positive")
     C = coarse_matrix(P, mu_k, part)
-    z = coarse_steady_state(C.C, cfg)
+    # a reducible coarse matrix raises, which is how the known
+    # pathological aggregations surface
+    z = steady_state(C.C)
     half = disaggregate(z.probs, mu_k.probs, part)
     out = P.mat @ half
     return ProbabilityVector(probs=out / out.sum())
@@ -82,7 +65,7 @@ def iad_solve(P, part, mu0, cfg=None):
     trace = IadTrace(iterates=[mu0])
     mu_old = mu0
     for _ in range(cfg.max_outer):
-        mu_new = iad_step(P, part, mu_old, cfg)
+        mu_new = iad_step(P, part, mu_old)
         change = np.max(np.abs(mu_new.probs - mu_old.probs) / mu_old.probs)
         smoothed = P.mat @ mu_new.probs
         resid = np.max(np.abs(smoothed - mu_new.probs) / smoothed)

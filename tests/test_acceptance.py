@@ -203,7 +203,7 @@ def test_criterion_10_pathology_detection():
     P1, part1, mu01 = fx["reducible_coarse"]
     C = coarse.coarse_matrix(P1, mu01, part1).C
     with pytest.raises(ReducibleMatrixError):
-        iad.coarse_steady_state(C)
+        chain.steady_state(C)
     # (ii) P^T P reducible: lambda_2 == 1, flagged by the pattern check
     P2, _, _ = fx["marek"]
     assert not chain.is_ptp_irreducible(P2)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain, random_reversible_chain
 from iadrate import chain, models
+from iadrate.linalg import qr_null_vector
 from iadrate.errors import (
     InconsistentSteadyStateError,
     NotStochasticError,
@@ -63,6 +64,72 @@ def test_steady_state_reversible_oracle(bench_1d):
 def test_steady_state_reducible_raises():
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(chain.StochasticMatrix(mat=np.eye(2)))
+
+
+def _max_rel_err(est, exact):
+    return float(np.max(np.abs(est - exact) / exact))
+
+
+# The ends of the size range, and both sides of the elimination's block
+# edges: one block, one block plus a state, two, two plus a state.
+_BLOCK_EDGES = (1, 64, 65, 128, 129, 200)
+
+
+def _at_block_edges(smallest):
+    def add_examples(test):
+        for n in _BLOCK_EDGES:
+            if n >= smallest:
+                test = example(n=n, seed=0)(test)
+        return test
+    return add_examples
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 10_000))
+@_at_block_edges(1)
+def test_steady_state_matches_qr_oracle(n, seed):
+    P = random_chain(np.random.default_rng(seed), n)
+    v = qr_null_vector(np.eye(n) - P.mat)
+    v = np.abs(v) / np.abs(v).sum()
+    assert _max_rel_err(chain.steady_state(P).probs, v) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 10_000))
+@_at_block_edges(2)
+def test_steady_state_nearly_decomposable_componentwise(n, seed):
+    # the QR null vector is only normwise accurate here and cannot serve
+    # as the oracle: I - P has a second singular value near 1e-12
+    rng = np.random.default_rng(seed)
+    P, mu = random_reversible_chain(rng, n, int(rng.integers(1, n)), 1e-12)
+    assert _max_rel_err(chain.steady_state(P).probs, mu.probs) < 1e-12
+
+
+@pytest.mark.parametrize("split", [1, 100, 136, 137, 199])
+def test_steady_state_two_closed_classes_raise(split):
+    # n = 200 eliminates in blocks [136, 200), [72, 136), [8, 72), [0, 8)
+    rng = np.random.default_rng(split)
+    P, _ = random_reversible_chain(rng, 200, split, 0.0)
+    with pytest.raises(ReducibleMatrixError):
+        chain.steady_state(P)
+
+
+@pytest.mark.parametrize("n, t", [(2, 1), (200, 0), (200, 71), (200, 72),
+                                  (200, 199)])
+def test_steady_state_transient_state_raises(n, t):
+    # n = 2 gives [[1, 1], [0, 0]], the coarse matrix of reducible_coarse
+    rng = np.random.default_rng(t)
+    raw = rng.random((n, n))
+    raw[t, :] = 0.0  # no state moves into t
+    P = chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
+    with pytest.raises(ReducibleMatrixError):
+        chain.steady_state(P)
+
+
+def test_steady_state_2d_boltzmann(bench_2d):
+    # N = 2500: forty blocks of the elimination
+    P, mu = bench_2d
+    assert _max_rel_err(chain.steady_state(P).probs, mu.probs) < 1e-12
 
 
 def test_time_reversal_fixes_mu_and_is_stochastic():

@@ -108,3 +108,15 @@ def test_threads_env_respected(tmp_path, monkeypatch):
 
 def test_usage_error_exit_1():
     assert main(["solve", "--tau", "notafloat"]) == 1
+
+
+def test_nonconvergence_outside_solve_prints_and_exits_1(monkeypatch, capsys):
+    from iadrate import cli
+    from iadrate.errors import NonConvergenceError
+
+    def fails(args):
+        raise NonConvergenceError("stalled after 3 sweeps")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", fails)
+    assert main(["spectrum"]) == 1
+    assert "error: stalled after 3 sweeps" in capsys.readouterr().err

@@ -15,25 +15,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         iad.IadConfig(tau=0.0)
     with pytest.raises(ValueError):
-        iad.IadConfig(coarse_k=0)
+        iad.IadConfig(max_outer=0)
 
 
 def test_coarse_steady_state_symmetric():
     C = chain.StochasticMatrix(mat=np.full((2, 2), 0.5))
-    z = iad.coarse_steady_state(C)
+    z = chain.steady_state(C)
     assert np.allclose(z.probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_coarse_steady_state_singleton():
     C = chain.StochasticMatrix(mat=np.ones((1, 1)))
-    assert np.allclose(iad.coarse_steady_state(C).probs, [1.0])
+    assert np.allclose(chain.steady_state(C).probs, [1.0])
 
 
 def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
     C = coarse.coarse_matrix(P, mu, part).C
-    z = iad.coarse_steady_state(C)
+    z = chain.steady_state(C)
     # independent oracle: unit-sum kernel vector of I - C
     v = qr_null_vector(np.eye(2) - C.mat)
     v = np.abs(v) / np.abs(v).sum()
@@ -44,7 +44,7 @@ def test_coarse_steady_state_reducible_raises():
     P, part, mu0 = models.pathological_fixtures()["reducible_coarse"]
     C = coarse.coarse_matrix(P, mu0, part).C
     with pytest.raises(ReducibleMatrixError):
-        iad.coarse_steady_state(C)
+        chain.steady_state(C)
 
 
 def test_iad_step_single_coarse_state_is_power_step():
