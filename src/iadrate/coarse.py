@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import StochasticMatrix, ProbabilityVector, validate
+from .chain import ProbabilityVector, validate
 from .errors import PartitionError, ZeroMassStratumError
 
 
@@ -26,13 +26,6 @@ class Partition:
     @property
     def fine_n(self):
         return self.assignment.shape[0]
-
-
-@dataclass(frozen=True)
-class CoarseModel:
-    partition: Partition
-    base: ProbabilityVector
-    C: StochasticMatrix
 
 
 def make_partition(assignment, n=None):
@@ -76,13 +69,19 @@ def aggregate(nu, part):
     return np.bincount(part.assignment, weights=nu, minlength=part.n)
 
 
+def _stratum_mass(nu, part):
+    """A nu, checked strictly positive: the denominators of D(nu)."""
+    anu = aggregate(nu, part)
+    if (anu <= 0).any():
+        i = int(np.argmax(anu <= 0))
+        raise ZeroMassStratumError(f"coarse state {i} has nonpositive mass")
+    return anu
+
+
 def disaggregation_matrix(nu, part):
     """D(nu) as an N x n dense matrix; column i is nu conditioned on S_i."""
     nu = np.asarray(nu, dtype=float)
-    anu = aggregate(nu, part)
-    if np.any(anu <= 0):
-        i = int(np.argmax(anu <= 0))
-        raise ZeroMassStratumError(f"coarse state {i} has nonpositive mass")
+    anu = _stratum_mass(nu, part)
     D = np.zeros((part.fine_n, part.n))
     D[np.arange(part.fine_n), part.assignment] = nu / anu[part.assignment]
     return D
@@ -94,21 +93,25 @@ def disaggregate(z, nu, part):
     nu = np.asarray(nu, dtype=float)
     if z.shape[0] != part.n:
         raise PartitionError("disaggregate: coarse vector length mismatch")
-    anu = aggregate(nu, part)
-    if np.any(anu <= 0):
-        i = int(np.argmax(anu <= 0))
-        raise ZeroMassStratumError(f"coarse state {i} has nonpositive mass")
+    anu = _stratum_mass(nu, part)
     c = part.assignment
     return z[c] * nu / anu[c]
 
 
 def coarse_matrix(P, nu, part):
-    """The n x n coarse approximation C(nu) = A P D(nu)."""
-    D = disaggregation_matrix(nu.probs, part)
-    PD = P.mat @ D
-    C = np.zeros((part.n, part.n))
-    np.add.at(C, part.assignment, PD)
-    return CoarseModel(partition=part, base=nu, C=validate(C))
+    """The validated n x n coarse chain C(nu) = A P D(nu).
+
+    C[a(i), a(j)] is the sum of P_ij nu_j / (A nu)_{a(j)} over the
+    nonzeros P_ij, taken in one bincount; no N x n matrix is formed.
+    """
+    if P.n != part.fine_n:
+        raise PartitionError("coarse_matrix: matrix size does not match partition")
+    a, n = part.assignment, part.n
+    rows, cols, vals = P.nonzeros()
+    weights = nu.probs / _stratum_mass(nu.probs, part)[a]
+    C = np.bincount(a[rows] * n + a[cols], weights=vals * weights[cols],
+                    minlength=n * n)
+    return validate(C.reshape(n, n))
 
 
 def orthogonal_projection(nu, part):
@@ -132,7 +135,7 @@ def coarse_projection(P, mu, nu, part):
     N = P.n
     D = disaggregation_matrix(nu_arr, part)
     A = aggregation_matrix(part)
-    B = A @ (np.eye(N) - P.mat + np.outer(mu.probs, np.ones(N)))
+    B = A @ (np.eye(N) - P.dense() + np.outer(mu.probs, np.ones(N)))
     inner = B @ D
     return D @ linalg.lu_solve(inner, B)
 

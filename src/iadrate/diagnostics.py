@@ -20,7 +20,7 @@ from .chain import (
     time_reversal,
 )
 from .coarse import coarse_projection, is_refinement, orthogonal_projection
-from .errors import ReducibleMatrixError
+from .errors import ReducibleMatrixError, RefinementError
 
 from dataclasses import dataclass, field
 
@@ -180,7 +180,7 @@ def refinement_compare(P, coarse_part, refined_part, mu=None):
     """(rho_coarse, rho_refined) for a nested pair of aggregations.
 
     For reversible chains refining the coarse states can only shrink the
-    rate; that monotonicity is asserted here.
+    rate; a rate that grows raises RefinementError.
     """
     if not is_refinement(refined_part, coarse_part):
         raise ValueError("refinement_compare: second partition does not "
@@ -190,7 +190,7 @@ def refinement_compare(P, coarse_part, refined_part, mu=None):
     rho_c = rho_J_direct(error_operator(P, mu, coarse_part))
     rho_r = rho_J_direct(error_operator(P, mu, refined_part))
     if is_reversible(P, mu) and rho_r > rho_c + 1e-10:
-        raise AssertionError(
+        raise RefinementError(
             f"refinement_compare: rate increased under refinement "
             f"({rho_c:.12g} -> {rho_r:.12g}) for a reversible chain"
         )

@@ -48,6 +48,11 @@ class PartitionError(IadError):
     """A partition is malformed (empty stratum, bad labels, non-refinement)."""
 
 
+class RefinementError(IadError):
+    """Refining the strata raised the rate of a reversible chain, which the
+    theory rules out: a sign that the computed rates are wrong."""
+
+
 class InconsistentSteadyStateError(IadError):
     """The supplied steady state is not invariant to working precision."""
 

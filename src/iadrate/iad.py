@@ -45,7 +45,7 @@ def iad_step(P, part, mu_k):
     C = coarse_matrix(P, mu_k, part)
     # a reducible coarse matrix raises, which is how the known
     # pathological aggregations surface
-    z = steady_state(C.C)
+    z = steady_state(C)
     half = disaggregate(z.probs, mu_k.probs, part)
     out = P.mat @ half
     return ProbabilityVector(probs=out / out.sum())

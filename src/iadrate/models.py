@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse
 
 from .chain import ProbabilityVector, StochasticMatrix, validate
 from .coarse import Partition, make_partition, singleton_partition, trivial_partition
@@ -100,8 +101,14 @@ def boltzmann_1d(spec):
     return ProbabilityVector(probs=e / e.sum())
 
 
+# Index type of the model chains' CSC storage: scipy keeps the type of the
+# indices it is given, and int32 takes half the memory of the default int64.
+_INDEX = np.int32
+
+
 def reversible_chain_1d(mu):
-    """Nearest-neighbor Metropolis-like chain in detailed balance with mu.
+    """Nearest-neighbor Metropolis-like chain in detailed balance with mu,
+    stored as CSC with three nonzeros a column.
 
     Periodic wraparound; off-diagonals are half the target's share of the
     pairwise mass, the diagonal takes the rest.
@@ -112,33 +119,32 @@ def reversible_chain_1d(mu):
         raise ValueError("reversible_chain_1d: mu must be strictly positive")
     up = 0.5 * np.roll(m, -1) / (np.roll(m, -1) + m)    # i -> i+1
     down = 0.5 * np.roll(m, 1) / (np.roll(m, 1) + m)    # i -> i-1
-    P = np.zeros((N, N))
-    idx = np.arange(N)
-    np.add.at(P, ((idx + 1) % N, idx), up)
-    np.add.at(P, ((idx - 1) % N, idx), down)
-    P[idx, idx] += 1.0 - up - down
+    idx = np.arange(N, dtype=_INDEX)
+    rows = np.concatenate([(idx + 1) % N, (idx - 1) % N, idx])
+    vals = np.concatenate([up, down, 1.0 - up - down])
+    P = scipy.sparse.csc_array((vals, (rows, np.tile(idx, 3))), shape=(N, N))
     return StochasticMatrix(mat=P)
+
+
+def _cyclic_shift(N, step):
+    """CSC permutation matrix sending state i to i + step (mod N)."""
+    if N < 2:
+        raise ValueError("cyclic shift: N must be at least 2")
+    rows = (np.arange(N, dtype=_INDEX) + step) % N
+    W = scipy.sparse.csc_array((np.ones(N), rows, np.arange(N + 1, dtype=_INDEX)),
+                               shape=(N, N))
+    return StochasticMatrix(mat=W)
 
 
 def right_shift(N):
     """Cyclic permutation matrix sending state i to i+1."""
-    if N < 2:
-        raise ValueError("right_shift: N must be at least 2")
-    W = np.zeros((N, N))
-    idx = np.arange(N)
-    W[(idx + 1) % N, idx] = 1.0
-    return StochasticMatrix(mat=W)
+    return _cyclic_shift(N, 1)
 
 
 def left_shift(N):
     """Cyclic permutation matrix sending state i to i-1. This is the
     non-reversible perturbation used in the shift-mixture experiments."""
-    if N < 2:
-        raise ValueError("left_shift: N must be at least 2")
-    W = np.zeros((N, N))
-    idx = np.arange(N)
-    W[(idx - 1) % N, idx] = 1.0
-    return StochasticMatrix(mat=W)
+    return _cyclic_shift(N, -1)
 
 
 def mix(P, W, alpha):
@@ -168,21 +174,29 @@ _MOVES = {
 def reversible_chain_2d(mu, spec):
     """Metropolis-like chain on the periodic N x N grid in detailed balance
     with mu; each of the four moves in the move set gets weight
-    mu(target) / (4 (mu(target) + mu(source)))."""
+    mu(target) / (4 (mu(target) + mu(source))). Stored as CSC with five
+    nonzeros a column."""
     N = spec.N
     m = mu.probs.reshape(N, N)
     if np.any(m <= 0):
         raise ValueError("reversible_chain_2d: mu must be strictly positive")
-    P = np.zeros((N * N, N * N))
-    ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    axis = np.arange(N, dtype=_INDEX)
+    ii, jj = np.meshgrid(axis, axis, indexing="ij")
     src = (ii * N + jj).reshape(-1)
+    tgts, ws = [], []
     for dk, dl in _MOVES[spec.move_set]:
         ti = (ii + dk) % N
         tj = (jj + dl) % N
-        tgt = (ti * N + tj).reshape(-1)
-        w = (0.25 * m[ti, tj] / (m[ti, tj] + m)).reshape(-1)
-        P[tgt, src] += w
-    P[src, src] += 1.0 - P.sum(axis=0)
+        tgts.append((ti * N + tj).reshape(-1))
+        ws.append((0.25 * m[ti, tj] / (m[ti, tj] + m)).reshape(-1))
+    moves = scipy.sparse.csc_array(
+        (np.concatenate(ws), (np.concatenate(tgts), np.tile(src, len(ws)))),
+        shape=(N * N, N * N))
+    # N >= 3 gives each column four distinct targets, stored in row order;
+    # adding them in that order, as a dense column sum does, makes the
+    # diagonal bit for bit one minus the dense column sum
+    moved = sum(moves.data.reshape(N * N, -1).T)
+    P = moves + scipy.sparse.diags_array(1.0 - moved, format="csc")
     return StochasticMatrix(mat=P)
 
 

@@ -153,7 +153,7 @@ def test_criterion_07_operator_identities():
         # P_hat* P_hat == P* P - mu 1^T in l2(1/mu)
         star = lambda M: (mu.probs[:, None] * M.T) * w[None, :]
         lhs = star(hat) @ hat
-        rhs = star(P.mat) @ P.mat - np.outer(mu.probs, np.ones(N))
+        rhs = star(P.dense()) @ P.dense() - np.outer(mu.probs, np.ones(N))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -201,7 +201,7 @@ def test_criterion_10_pathology_detection():
     fx = models.pathological_fixtures()
     # (i) reducible coarse matrix surfaces as an error
     P1, part1, mu01 = fx["reducible_coarse"]
-    C = coarse.coarse_matrix(P1, mu01, part1).C
+    C = coarse.coarse_matrix(P1, mu01, part1)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
     # (ii) P^T P reducible: lambda_2 == 1, flagged by the pattern check

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,26 @@ def test_validate_clamps_tiny_negatives():
     assert np.all(P.mat >= 0)
 
 
+@pytest.mark.parametrize("store", [np.array, scipy.sparse.csc_array])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite(store, bad):
+    with pytest.raises(NotStochasticError) as exc:
+        chain.validate(store(np.array([[0.5, bad], [0.5, bad]])))
+    assert exc.value.column == 1
+
+
+def test_validate_sparse_input_becomes_canonical_csc():
+    coo = scipy.sparse.coo_array(
+        ([0.25, 0.25, 1.0, 0.5, -1e-15], ([1, 1, 0, 0, 1], [0, 0, 1, 0, 1])),
+        shape=(2, 2))
+    P = chain.validate(coo)
+    assert P.mat.format == "csc" and P.mat.has_canonical_format
+    assert np.array_equal(P.dense(), [[0.5, 1.0], [0.5, 0.0]])
+    with pytest.raises(NotStochasticError) as exc:
+        chain.validate(scipy.sparse.csr_array([[0.5, 1.2], [0.5, -0.2]]))
+    assert exc.value.column == 1
+
+
 def test_irreducibility():
     shift = models.right_shift(4)
     assert chain.is_irreducible(shift)
@@ -40,7 +62,7 @@ def test_ptp_irreducible_marek_false():
 def test_ensure_contractive_laziness():
     shift = models.right_shift(3)
     lazy = chain.ensure_contractive(shift)
-    assert np.allclose(lazy.mat, 0.5 * (np.eye(3) + shift.mat))
+    assert np.allclose(lazy.dense(), 0.5 * (np.eye(3) + shift.dense()))
     # already fine chains pass through untouched
     rng = np.random.default_rng(0)
     P = random_chain(rng, 5)
@@ -197,7 +219,24 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "P.mtx"
     chain.save_matrix(path, P)
     Q = chain.load_matrix(path)
-    assert np.allclose(P.mat, Q.mat, atol=1e-14)
+    assert np.allclose(P.mat, Q.dense(), atol=1e-14)
+
+
+def test_matrix_roundtrip_csc(tmp_path, bench_1d):
+    P, _ = bench_1d
+    path = tmp_path / "P.mtx"
+    chain.save_matrix(path, P)
+    Q = chain.load_matrix(path)
+    assert Q.mat.format == "csc"
+    assert np.allclose(Q.dense(), P.dense(), atol=1e-14)
+    # row-stochastic data is column stochastic only once transposed
+    rows = tmp_path / "P_rows.mtx"
+    scipy.io.mmwrite(str(rows), P.mat.T)
+    with pytest.raises(NotStochasticError):
+        chain.load_matrix(rows)
+    R = chain.load_matrix(rows, transpose=True)
+    assert R.mat.format == "csc"
+    assert np.allclose(R.dense(), P.dense(), atol=1e-14)
 
 
 def test_vector_roundtrip(tmp_path):

@@ -1,8 +1,13 @@
+import itertools
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iadrate
 from iadrate import chain
 from iadrate.cli import main
 
@@ -120,3 +125,24 @@ def test_nonconvergence_outside_solve_prints_and_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_spectrum", fails)
     assert main(["spectrum"]) == 1
     assert "error: stalled after 3 sweeps" in capsys.readouterr().err
+
+
+def test_refine_study_rate_growth_exits_1(tmp_path, monkeypatch, capsys):
+    from iadrate import diagnostics
+
+    rates = itertools.count(0.5, 0.01)  # every refinement looks worse
+    monkeypatch.setattr(diagnostics, "rho_J_direct", lambda J: next(rates))
+    assert main(["refine-study", "--out", str(tmp_path)]) == 1
+    assert "rate increased under refinement" in capsys.readouterr().err
+
+
+def test_module_entry_point_warns_nothing():
+    src = str(Path(iadrate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "iadrate.cli",
+         "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

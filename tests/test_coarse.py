@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, random_partition
-from iadrate import chain, coarse, models
+from conftest import random_chain, random_partition, random_reversible_chain
+from iadrate import chain, coarse, iad, models
 from iadrate.errors import PartitionError, ZeroMassStratumError
 
 
@@ -54,11 +55,11 @@ def test_coarse_matrix_stochastic_and_exact():
     mu = chain.steady_state(P)
     part = coarse.singleton_partition(6)
     C = coarse.coarse_matrix(P, mu, part)
-    assert np.allclose(C.C.mat, P.mat, atol=1e-14)
+    assert np.allclose(C.mat, P.mat, atol=1e-14)
     # trivial partition gives the 1x1 chain
     C1 = coarse.coarse_matrix(P, mu, coarse.trivial_partition(6))
-    assert C1.C.mat.shape == (1, 1)
-    assert C1.C.mat[0, 0] == pytest.approx(1.0)
+    assert C1.mat.shape == (1, 1)
+    assert C1.mat[0, 0] == pytest.approx(1.0)
 
 
 def test_coarse_matrix_fixes_aggregated_mu():
@@ -69,7 +70,7 @@ def test_coarse_matrix_fixes_aggregated_mu():
     part = random_partition(rng, 10, 4)
     C = coarse.coarse_matrix(P, mu, part)
     amu = coarse.aggregate(mu.probs, part)
-    assert np.max(np.abs(C.C.mat @ amu - amu)) < 1e-12
+    assert np.max(np.abs(C.mat @ amu - amu)) < 1e-12
 
 
 def test_orthogonal_projection_idempotent_selfadjoint():
@@ -129,3 +130,36 @@ def test_aggregate_disaggregate_roundtrip(N, n, seed):
     assert np.allclose(back, z, atol=1e-12)
     assert np.allclose(coarse.disaggregate(coarse.aggregate(nu, part), nu, part),
                        nu, atol=1e-12)
+
+
+def _storage_case(kind, rng, N):
+    """(P, partition): a random, reversible or pathology chain."""
+    if kind == "random":
+        P = random_chain(rng, N)
+    elif kind == "reversible":
+        P, _ = random_reversible_chain(rng, N)
+    else:
+        P, part, _ = models.pathological_fixtures()[kind]
+        return P, part
+    return P, random_partition(rng, N, int(rng.integers(1, min(N, 8) + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "reversible", "reducible_coarse", "marek",
+                        "periodic_shift"]),
+       st.integers(2, 60), st.integers(0, 10_000))
+def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
+    # oracle: the dense product A P D(nu); both storages must match it,
+    # and one IAD step must not depend on how P is stored
+    rng = np.random.default_rng(seed)
+    P, part = _storage_case(kind, rng, N)
+    nu = rng.random(P.n) + 0.01
+    nu = chain.ProbabilityVector(probs=nu / nu.sum())
+    oracle = (coarse.aggregation_matrix(part) @ P.dense()
+              @ coarse.disaggregation_matrix(nu.probs, part))
+    dense = chain.StochasticMatrix(mat=P.dense())
+    csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
+    for Q in (dense, csc):
+        assert np.max(np.abs(coarse.coarse_matrix(Q, nu, part).mat - oracle)) <= 1e-14
+    gap = iad.iad_step(dense, part, nu).probs - iad.iad_step(csc, part, nu).probs
+    assert np.max(np.abs(gap)) <= 1e-14

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_coarse_steady_state_singleton():
 def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
-    C = coarse.coarse_matrix(P, mu, part).C
+    C = coarse.coarse_matrix(P, mu, part)
     z = chain.steady_state(C)
     # independent oracle: unit-sum kernel vector of I - C
     v = qr_null_vector(np.eye(2) - C.mat)
@@ -42,7 +44,7 @@ def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
 
 def test_coarse_steady_state_reducible_raises():
     P, part, mu0 = models.pathological_fixtures()["reducible_coarse"]
-    C = coarse.coarse_matrix(P, mu0, part).C
+    C = coarse.coarse_matrix(P, mu0, part)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
 
@@ -80,6 +82,18 @@ def test_iad_solve_1d_chain(bench_1d):
     assert np.max(np.abs(est.probs - mu.probs) / mu.probs) < 1e-6
     assert len(trace.rel_changes) == len(trace.residuals)
     assert len(trace.iterates) == len(trace.rel_changes) + 1
+
+
+def test_iad_solve_2d_grid(bench_2d):
+    # the 50 x 50 chain under the 6 x 6 grid of strata; with P stored as
+    # CSC each step takes time linear in its nonzeros
+    t0 = time.perf_counter()
+    P, mu = bench_2d
+    est, trace = iad.iad_solve(P, models.grid2d(50, 6), uniform_pv(2500))
+    assert np.max(np.abs(est.probs - mu.probs) / mu.probs) <= 1e-6
+    rate = iad.empirical_rate(trace, mu)
+    assert abs(rate - 0.987327) / 0.987327 <= 0.01
+    assert time.perf_counter() - t0 < 15.0
 
 
 def test_iad_solve_rank_one_chain():

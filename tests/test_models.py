@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +45,8 @@ def test_boltzmann_1d_flattens_with_temperature():
 def test_reversible_chain_1d_uniform():
     mu = chain.ProbabilityVector(probs=np.full(8, 0.125))
     P = models.reversible_chain_1d(mu)
-    assert np.allclose(np.diag(P.mat), 0.5)
-    assert np.allclose(P.mat[np.arange(8), (np.arange(8) + 1) % 8], 0.25)
+    assert np.allclose(np.diag(P.dense()), 0.5)
+    assert np.allclose(P.dense()[np.arange(8), (np.arange(8) + 1) % 8], 0.25)
 
 
 def test_reversible_chain_1d_detailed_balance():
@@ -54,26 +55,26 @@ def test_reversible_chain_1d_detailed_balance():
     m /= m.sum()
     mu = chain.ProbabilityVector(probs=m)
     P = models.reversible_chain_1d(mu)
-    flux = P.mat * m[None, :]
+    flux = P.dense() * m[None, :]
     assert np.max(np.abs(flux - flux.T)) < 1e-14
 
 
 def test_right_shift_three_states():
     W = models.right_shift(3)
     expect = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert np.array_equal(W.mat, expect)
-    assert np.array_equal(np.linalg.matrix_power(W.mat, 3), np.eye(3))
+    assert np.array_equal(W.dense(), expect)
+    assert np.array_equal(np.linalg.matrix_power(W.dense(), 3), np.eye(3))
 
 
 def test_left_shift_is_transpose_of_right():
-    assert np.array_equal(models.left_shift(5).mat, models.right_shift(5).mat.T)
+    assert np.array_equal(models.left_shift(5).dense(), models.right_shift(5).dense().T)
 
 
 def test_mix_endpoints_and_validation():
     P = models.right_shift(4)
     W = chain.StochasticMatrix(mat=np.full((4, 4), 0.25))
-    assert np.array_equal(models.mix(P, W, 0.0).mat, P.mat)
-    assert np.array_equal(models.mix(P, W, 1.0).mat, W.mat)
+    assert np.array_equal(models.mix(P, W, 0.0).dense(), P.dense())
+    assert np.array_equal(models.mix(P, W, 1.0).dense(), W.dense())
     with pytest.raises(ValueError):
         models.mix(P, W, 1.5)
 
@@ -83,10 +84,31 @@ def test_chain_2d_detailed_balance_and_diagonal():
                               a=-1.0, b=1.0, c=-1.0, d=1.0, N=6, T=0.5)
     mu = models.boltzmann_2d(spec)
     P = models.reversible_chain_2d(mu, spec)
-    flux = P.mat * mu.probs[None, :]
+    flux = P.dense() * mu.probs[None, :]
     assert np.max(np.abs(flux - flux.T)) < 1e-14
-    assert np.all(np.diag(P.mat) > 0)
+    assert np.all(np.diag(P.dense()) > 0)
     assert chain.is_ptp_irreducible(P)
+
+
+def _assert_sparse_balanced_chain(P, mu, per_column):
+    assert P.mat.format == "csc" and P.mat.has_canonical_format
+    assert np.diff(P.mat.indptr).max() <= per_column
+    assert np.max(np.abs(P.mat.sum(axis=0) - 1.0)) < 1e-14
+    flux = P.mat @ scipy.sparse.diags_array(mu.probs)
+    assert abs(flux - flux.T).max() < 1e-14
+
+
+def test_model_chains_are_csc(bench_1d, bench_2d):
+    _assert_sparse_balanced_chain(*bench_1d, 3)
+    _assert_sparse_balanced_chain(*bench_2d, 5)
+    spec = models.benchmark_chain_2d_spec(move_set="diagonal")
+    mu = models.boltzmann_2d(spec)
+    _assert_sparse_balanced_chain(models.reversible_chain_2d(mu, spec), mu, 5)
+    P0, _ = bench_1d
+    for W in (models.left_shift(100), models.right_shift(100)):
+        assert W.mat.format == "csc" and W.mat.nnz == 100
+    mixed = models.mix(P0, models.left_shift(100), 0.05)
+    assert mixed.mat.format == "csc" and np.diff(mixed.mat.indptr).max() <= 3
 
 
 def test_chain_2d_well_mass(bench_2d):
@@ -146,9 +168,9 @@ def test_pathological_fixtures_shapes():
     assert chain.is_irreducible(P1)
     assert np.allclose(mu01.probs, [0.5, 0.0, 0.5])
     C = coarse.coarse_matrix(P1, mu01, part1)
-    assert np.allclose(C.C.mat, [[1.0, 1.0], [0.0, 0.0]])
+    assert np.allclose(C.mat, [[1.0, 1.0], [0.0, 0.0]])
     P3, _, _ = fx["periodic_shift"]
-    assert np.array_equal(P3.mat, models.right_shift(3).mat)
+    assert np.array_equal(P3.dense(), models.right_shift(3).dense())
 
 
 def test_load_config_and_build_model(tmp_path):
@@ -166,8 +188,8 @@ def test_build_model_alpha_mixture():
     P0, mu0, _ = models.build_model({"model": "chain1d"})
     Pa, mua, _ = models.build_model({"model": "chain1d", "alpha": "0.05"})
     assert mua is None
-    expect = 0.95 * P0.mat + 0.05 * models.left_shift(100).mat
-    assert np.allclose(Pa.mat, expect, atol=1e-14)
+    expect = 0.95 * P0.dense() + 0.05 * models.left_shift(100).dense()
+    assert np.allclose(Pa.dense(), expect, atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
