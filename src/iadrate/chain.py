@@ -207,47 +207,50 @@ def steady_state(P):
 
 
 def time_reversal(P, mu):
-    """Time reversal diag(mu) P^T diag(1/mu); column stochastic, fixes mu."""
+    """Time reversal diag(mu) P^T diag(1/mu), stored like P; column
+    stochastic, fixes mu."""
     m = mu.probs
     if np.any(m <= 0):
         raise ValueError("time_reversal: mu must be strictly positive")
-    Pd = P.dense()
-    if np.max(np.abs(Pd @ m - m)) > 1e-8:
+    if np.max(np.abs(P.mat @ m - m)) > 1e-8:
         raise InconsistentSteadyStateError("time_reversal: mu is not invariant")
-    R = (m[:, None] * Pd.T) / m[None, :]
-    return StochasticMatrix(mat=R)
+    return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m)[None, :])
 
 
 def deviation(P, mu):
-    """P minus its rank-one ergodic limit: P - mu 1^T."""
-    return P.dense() - np.outer(mu.probs, np.ones(P.n))
+    """P minus its rank-one ergodic limit, P - mu 1^T, as a LinearOperator:
+    a product with P and an explicit rank-one term."""
+    mc = mu.probs[:, None]
+    return linalg.block_operator(P.n, lambda X: P.mat @ X - mc * X.sum(axis=0))
 
 
 def is_reversible(P, mu, tol=1e-10):
     """Detailed balance check: P equals its own time reversal entrywise."""
-    return np.max(np.abs(time_reversal(P, mu).mat - P.dense())) <= tol
+    return abs(time_reversal(P, mu).mat - P.mat).max() <= tol
 
 
-def pstar_p_spectrum(P, mu):
-    """Spectrum and eigenvectors of P* P, the self-adjoint composition of
-    the chain with its time reversal in l2(1/mu).
+def pstar_p_spectrum(P, mu, k=None):
+    """The k leading eigenpairs (default: all) of P* P, the self-adjoint
+    composition of the chain with its time reversal in l2(1/mu).
 
     The similarity M = diag(1/sqrt(mu)) P diag(sqrt(mu)) makes M^T M plain
-    symmetric; eigenvectors map back through diag(sqrt(mu)). The leading
-    pair is replaced by the analytic (mu, ones).
+    symmetric; it is applied as two products with P, and eigenvectors map
+    back through diag(sqrt(mu)). The leading pair is replaced by the
+    analytic (mu, ones).
     """
     m = mu.probs
     if np.any(m <= 0):
         raise ValueError("pstar_p_spectrum: mu must be strictly positive")
-    sm = np.sqrt(m)
-    M = (P.dense() * sm[None, :]) / sm[:, None]
-    pairs = linalg.sym_eigs(M.T @ M)
+    smc, mc = np.sqrt(m)[:, None], m[:, None]
+    MtM = linalg.block_operator(
+        P.n, lambda X: smc * (P.mat.T @ ((P.mat @ (smc * X)) / mc)))
+    pairs = linalg.leading_eigs(MtM, k, symmetric=True, vectors=True)
     lambdas = pairs.values.copy()
     if abs(lambdas[0] - 1.0) > 1e-8:
         raise InconsistentSteadyStateError(
             f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1"
         )
-    right = sm[:, None] * pairs.vectors
+    right = smc * pairs.vectors
     # deterministic sign: largest-magnitude component positive
     idx = np.argmax(np.abs(right), axis=0)
     signs = np.sign(right[idx, np.arange(right.shape[1])])

@@ -106,7 +106,7 @@ def cmd_spectrum(args):
     P, mu, _ = _load_model(args)
     if mu is None:
         mu = chain.steady_state(P)
-    sd = chain.pstar_p_spectrum(P, mu)
+    sd = chain.pstar_p_spectrum(P, mu, min(P.n, args.max_n))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for k in range(min(P.n, args.max_n)):
@@ -198,7 +198,7 @@ def _split_sweep_rows(alpha, k):
         P = models.mix(P0, models.left_shift(N), alpha)
         mu = chain.steady_state(P)
     rev = chain.is_reversible(P, mu)
-    sd = chain.pstar_p_spectrum(P, mu)
+    sd = chain.pstar_p_spectrum(P, mu, k + 1)
 
     def run(ell):
         part = models.split1d(N, ell)
@@ -242,7 +242,7 @@ def cmd_tables(args):
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain
     P1, mu1 = _chain_1d_family()
-    sd1 = chain.pstar_p_spectrum(P1, mu1)
+    sd1 = chain.pstar_p_spectrum(P1, mu1, 5)
     rows = []
     for k in range(1, 5):
         s = float(np.sqrt(sd1.lambdas[k]))
@@ -258,8 +258,7 @@ def cmd_tables(args):
         else:
             Pa = models.mix(P1, models.left_shift(P1.n), a)
             mua = chain.steady_state(Pa)
-        rho = float(np.abs(
-            np.linalg.eigvals(chain.deviation(Pa, mua))).max())
+        rho = diagnostics.rho_hatP(Pa, mua)
         rows.append([_fmt(a), _fmt(rho), _neglog(rho)])
     _write_csv(os.path.join(args.out, "table3.csv"),
                "alpha,rho_hatP,neglog10", rows)

@@ -62,11 +62,17 @@ def aggregation_matrix(part):
 
 
 def aggregate(nu, part):
-    """Sum the mass of nu over each coarse state."""
+    """Sum the mass of nu over each coarse state; an (N, m) block is
+    summed column by column, in the same single bincount."""
     nu = np.asarray(nu, dtype=float)
     if nu.shape[0] != part.fine_n:
         raise PartitionError("aggregate: vector length does not match partition")
-    return np.bincount(part.assignment, weights=nu, minlength=part.n)
+    if nu.ndim == 1:
+        return np.bincount(part.assignment, weights=nu, minlength=part.n)
+    m = nu.shape[1]
+    keys = (part.assignment[:, None] * m + np.arange(m)).ravel()
+    out = np.bincount(keys, weights=nu.ravel(), minlength=part.n * m)
+    return out.reshape(part.n, m)
 
 
 def _stratum_mass(nu, part):
@@ -114,30 +120,46 @@ def coarse_matrix(P, nu, part):
     return validate(C.reshape(n, n))
 
 
+def _positive(nu, who):
+    nu = np.asarray(nu.probs if isinstance(nu, ProbabilityVector) else nu,
+                    dtype=float)
+    if np.any(nu <= 0):
+        raise ValueError(f"{who}: nu must be strictly positive")
+    return nu
+
+
 def orthogonal_projection(nu, part):
-    """Pi(nu) = D(nu) A, the l2(1/nu)-orthogonal projection on rg(D)."""
-    nu_arr = np.asarray(nu.probs if isinstance(nu, ProbabilityVector) else nu,
-                        dtype=float)
-    if np.any(nu_arr <= 0):
-        raise ValueError("orthogonal_projection: nu must be strictly positive")
-    D = disaggregation_matrix(nu_arr, part)
-    return D @ aggregation_matrix(part)
+    """Pi(nu) = D(nu) A, the l2(1/nu)-orthogonal projection on rg(D), as a
+    LinearOperator: aggregate, then spread in the proportions of nu."""
+    nu = _positive(nu, "orthogonal_projection")
+    w = (nu / _stratum_mass(nu, part)[part.assignment])[:, None]
+    return linalg.block_operator(
+        part.fine_n, lambda X: w * aggregate(X, part)[part.assignment])
 
 
 def coarse_projection(P, mu, nu, part):
-    """The oblique projection S(nu) on rg(D(nu)) along the fine dynamics.
+    """The oblique projection S(nu) on rg(D(nu)) along the fine dynamics,
+    as a LinearOperator.
 
-    S(nu) = D(nu) [A (I - P + mu 1^T) D(nu)]^{-1} A (I - P + mu 1^T).
+    S(nu) = D(nu) [B D(nu)]^{-1} B with the n x N matrix
+    B = A (I - P + mu 1^T), whose A P part is one bincount over the
+    nonzeros of P; no N x N matrix is formed. The inner n x n matrix is
+    taken from the same B: S is then idempotent to roundoff, which an
+    inner matrix built separately (I - C(nu) + (A mu) 1^T) is not when
+    the coarse chain is nearly decomposable.
     """
-    nu_arr = nu.probs
-    if np.any(nu_arr <= 0):
-        raise ValueError("coarse_projection: nu must be strictly positive")
-    N = P.n
-    D = disaggregation_matrix(nu_arr, part)
-    A = aggregation_matrix(part)
-    B = A @ (np.eye(N) - P.dense() + np.outer(mu.probs, np.ones(N)))
-    inner = B @ D
-    return D @ linalg.lu_solve(inner, B)
+    nu = _positive(nu, "coarse_projection")
+    N, a, n = P.n, part.assignment, part.n
+    rows, cols, vals = P.nonzeros()
+    AP = np.bincount(a[rows] * N + cols, weights=vals, minlength=n * N)
+    B = (aggregation_matrix(part) - AP.reshape(n, N)
+         + np.outer(aggregate(mu.probs, part), np.ones(N)))
+    w = nu / _stratum_mass(nu, part)[a]
+    # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
+    # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
+    F = linalg.lu_solve(aggregate((B * w).T, part).T, B)
+    wc = w[:, None]
+    return linalg.block_operator(N, lambda X: wc * (F @ X)[a])
 
 
 def is_refinement(refined, coarser):

@@ -12,7 +12,6 @@ import scipy.linalg
 
 from . import linalg
 from .chain import (
-    ProbabilityVector,
     deviation,
     is_reversible,
     pstar_p_spectrum,
@@ -22,7 +21,10 @@ from .chain import (
 from .coarse import coarse_projection, is_refinement, orthogonal_projection
 from .errors import ReducibleMatrixError, RefinementError
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+# Eigenvalues of K the exact formula maps back above linalg.ARPACK_MIN_N.
+_EXACT_FORMULA_K = 6
 
 
 @dataclass
@@ -36,23 +38,35 @@ class RateReport:
     reversible: bool
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    Pi: np.ndarray
-    Q_k: np.ndarray
-
-
 def error_operator(P, mu, part):
     """J(mu) = (P - mu 1^T)(I - S(mu)), the linearization of one solver
-    step around the steady state."""
+    step around the steady state, as a LinearOperator."""
     S = coarse_projection(P, mu, mu, part)
-    return deviation(P, mu) @ (np.eye(P.n) - S)
+    Phat = deviation(P, mu)
+    return linalg.block_operator(P.n, lambda X: Phat @ (X - S @ X))
 
 
 def rho_J_direct(J):
-    """Spectral radius as the largest eigenvalue modulus of J."""
-    ev = linalg.general_eigenvalues(J)
-    return float(np.abs(ev[0]))
+    """Spectral radius as the largest eigenvalue modulus of J, an array or
+    a LinearOperator."""
+    return float(np.abs(linalg.leading_eigs(J, 1).values[0]))
+
+
+def rho_hatP(P, mu):
+    """rho(P - mu 1^T), the asymptotic rate of the power method."""
+    return rho_J_direct(deviation(P, mu))
+
+
+def _projected_resolvent(Q, mu, part):
+    """(I - Pi)(I - Q + mu 1^T)^{-1}(I - Pi) as a LinearOperator."""
+    Pi = orthogonal_projection(mu, part)
+    R = linalg.resolvent(Q, mu.probs)
+
+    def apply(X):
+        Y = R @ (X - Pi @ X)
+        return Y - Pi @ Y
+
+    return linalg.block_operator(Q.shape[0], apply)
 
 
 def rho_J_exact_formula(P, mu, part, drop_tol=1e-9):
@@ -61,15 +75,15 @@ def rho_J_exact_formula(P, mu, part, drop_tol=1e-9):
     With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
     spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
     with 0 adjoined. Numerically-zero eigenvalues of the rank-deficient
-    K (modulus below drop_tol) are discarded before the map.
+    K (modulus below drop_tol times K's largest) are discarded before
+    the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
+    above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
+    of J nearest 1 (for a reversible chain, rho(J) among them).
     """
-    N = P.n
-    I = np.eye(N)
-    Pi = orthogonal_projection(mu, part)
-    R = linalg.lu_solve(I - deviation(P, mu), I - Pi)
-    K = (I - Pi) @ R
-    lam = linalg.general_eigenvalues(K)
-    lam = lam[np.abs(lam) >= drop_tol]
+    K = _projected_resolvent(P.mat, mu, part)
+    k = None if P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
+    lam = linalg.leading_eigs(K, k).values
+    lam = lam[np.abs(lam) > drop_tol * np.abs(lam[0])]
     vals = 1.0 - 1.0 / lam
     return np.concatenate([vals, [0.0]])
 
@@ -79,49 +93,39 @@ def norm_bound(P, mu, part):
 
     Reversible case: 1 - 1/||(I-Pi)(I-P_hat)^{-1}(I-Pi)||_{1/mu}, which
     equals rho(J) exactly. General case: the same construction with
-    P_hat* P_hat inside the resolvent bounds rho^2, so the square root
-    is returned.
+    P_hat* P_hat = P* P - mu 1^T inside the resolvent bounds rho^2, so the
+    square root is returned.
     """
-    N = P.n
-    I = np.eye(N)
-    m = mu.probs
-    w = 1.0 / m
-    Pi = orthogonal_projection(mu, part)
-    Phat = deviation(P, mu)
+    w = 1.0 / mu.probs
     if is_reversible(P, mu):
-        K = (I - Pi) @ linalg.lu_solve(I - Phat, I - Pi)
+        K = _projected_resolvent(P.mat, mu, part)
         return 1.0 - 1.0 / linalg.spectral_radius_symmetric_psd(K, w)
-    Phat_star = (m[:, None] * Phat.T) * w[None, :]
-    K = (I - Pi) @ linalg.lu_solve(I - Phat_star @ Phat, I - Pi)
+    K = _projected_resolvent(time_reversal(P, mu).mat @ P.mat, mu, part)
     return float(np.sqrt(1.0 - 1.0 / linalg.spectral_radius_symmetric_psd(K, w)))
-
-
-def spectral_projector(sd, k):
-    """l2(1/mu)-orthogonal projector onto the k leading eigenvectors of
-    P* P (the steady state itself is the first)."""
-    V = sd.right_vectors[:, :k]
-    W = sd.left_vectors[:, :k]
-    return V @ W.T
-
-
-def projection_pair(P, mu, part, k, sd=None):
-    if sd is None:
-        sd = pstar_p_spectrum(P, mu)
-    return ProjectionPair(Pi=orthogonal_projection(mu, part),
-                          Q_k=spectral_projector(sd, k))
 
 
 def sin_theta(P, mu, part, k, sd=None):
     """Sine of the angle between the span of the k leading eigenvectors
     of P* P and the range of the coarse interpolation, measured in
-    l2(1/mu); computed as ||Q (I - Pi)||_{1/mu} and clamped to [0, 1]."""
+    l2(1/mu), clamped to [0, 1].
+
+    With V_k the eigenvectors (orthonormal in l2(1/mu)), sin^2 is the
+    largest eigenvalue of the k x k Gram matrix of (I - Pi) V_k in
+    l2(1/mu), i.e. of U_k^T (I - Pi~) U_k in plain coordinates.
+    """
     N = P.n
     if not 2 <= k < N:
         raise ValueError(f"sin_theta: k must satisfy 2 <= k < {N}, got {k}")
-    pair = projection_pair(P, mu, part, k, sd=sd)
-    M = pair.Q_k @ (np.eye(N) - pair.Pi)
-    s = linalg.weighted_operator_norm(M, 1.0 / mu.probs)
-    return float(min(max(s, 0.0), 1.0))
+    if sd is None:
+        sd = pstar_p_spectrum(P, mu, k)
+    if sd.right_vectors.shape[1] < k:
+        raise ValueError(f"sin_theta: sd holds {sd.right_vectors.shape[1]} "
+                         f"eigenvectors, k = {k} needs k")
+    V = sd.right_vectors[:, :k]
+    E = V - orthogonal_projection(mu, part) @ V
+    G = E.T @ (E / mu.probs[:, None])
+    s2 = float(linalg.leading_eigs(G, 1, symmetric=True).values[0])
+    return float(min(np.sqrt(max(s2, 0.0)), 1.0))
 
 
 def angle_bound(lambdas, sin2theta, k, reversible):
@@ -150,11 +154,10 @@ def full_report(P, part, k_list=(2,), mu=None):
     if mu is None:
         mu = steady_state(P)
     rev = is_reversible(P, mu)
-    sd = pstar_p_spectrum(P, mu)
+    sd = pstar_p_spectrum(P, mu, min(max(k_list, default=1) + 1, P.n))
     sqrt_l2 = float(np.sqrt(max(sd.lambdas[1], 0.0)))
-    rho_hat = float(np.abs(linalg.general_eigenvalues(deviation(P, mu))[0]))
-    J = error_operator(P, mu, part)
-    rho = rho_J_direct(J)
+    rho_hat = rho_hatP(P, mu)
+    rho = rho_J_direct(error_operator(P, mu, part))
     exact = rho_J_exact_formula(P, mu, part)
     nb = norm_bound(P, mu, part)
     bounds = {}
@@ -206,9 +209,10 @@ def epsilon_norm(M, mu, part, eps):
     """
     if eps <= 0:
         raise ValueError("epsilon_norm: eps must be positive")
+    M = linalg.as_dense(M)
     N = M.shape[0]
     w = 1.0 / mu.probs
-    Pi = orthogonal_projection(mu, part)
+    Pi = linalg.as_dense(orthogonal_projection(mu, part))
     G = w[:, None] * (np.eye(N) - Pi + eps * Pi)
     G = 0.5 * (G + G.T)  # symmetric up to roundoff by self-adjointness of Pi
     vals = scipy.linalg.eigh(M.T @ G @ M, G, eigvals_only=True)

@@ -1,9 +1,13 @@
-"""Dense real linear algebra with weighted inner products.
+"""Real linear algebra on arrays and matrix-free operators, with weighted
+inner products.
 
 Everything downstream measures vectors and operators in a weighted l2
 norm, so alongside the standard factorizations this module provides the
-diag(sqrt(w)) similarity trick that turns self-adjoint-in-l2(w) operators
-into plain symmetric matrices.
+diag(sqrt(w)) similarity that turns self-adjoint-in-l2(w) operators into
+plain symmetric ones. Operators are `scipy.sparse.linalg.LinearOperator`s
+that act on (n, m) blocks; `leading_eigs` is the one place that decides
+whether their eigenvalues come from LAPACK on the materialized matrix or
+from ARPACK on the operator.
 """
 
 import warnings
@@ -11,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
     AmbiguousNullspaceError,
@@ -20,17 +27,46 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Dimension above which spectral_radius_symmetric_psd switches from a full
-# symmetric eigensolve to shifted power iteration.
-_POWER_ITERATION_DIM = 1500
+# Operator size from which leading_eigs calls ARPACK instead of LAPACK on
+# the materialized operator. Measured with full_report on 2 cores (see
+# CHANGES.md): LAPACK wins on the 1D chains up to N = 200 and ARPACK from
+# N = 300; on the 2D chains ARPACK wins from N = 196.
+ARPACK_MIN_N = 200
+# ARPACK converges at least this many wanted eigenvalues, which keeps it
+# from settling on a smaller one in a cluster of near-equal moduli; the
+# extra ones are dropped.
+_ARPACK_MIN_K = 6
+# An ARPACK eigenpair (v of unit norm) is accepted when ||A v - lambda v||
+# stays below this times the largest modulus returned, or times one when
+# that is smaller: rates in [0, 1] then carry an absolute error of about
+# this much (exactly, for a normal A), and large eigenvalues a relative one.
+_RESIDUAL_TOL = 1e-9
+# Relative asymmetry tolerated in a materialized self-adjoint operator.
+_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Real eigenvalues sorted descending with matching eigenvector columns."""
+    """Eigenvalues, leading first, with matching eigenvector columns
+    (None when they were not asked for)."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: "np.ndarray | None"
+
+
+def block_operator(n, f):
+    """The LinearOperator on R^n that applies f to an (n, m) block of
+    columns; a vector goes through f as one column."""
+    g = lambda X: f(np.reshape(X, (n, -1)))
+    return LinearOperator((n, n), matvec=g, matmat=g, dtype=float)
+
+
+def as_dense(A):
+    """A square array as a float array, a LinearOperator materialized as
+    A @ I."""
+    if isinstance(A, LinearOperator):
+        return A @ np.eye(A.shape[0])
+    return np.asarray(A, dtype=float)
 
 
 def weighted_inner(x, y, w):
@@ -95,6 +131,15 @@ def qr_null_vector(A):
     return Q[:, -1]
 
 
+def _symmetrized(S, tol):
+    """(S + S^T) / 2, after checking S symmetric to tol relative to its
+    largest entry (at least one)."""
+    scale = max(1.0, np.max(np.abs(S)))
+    if np.max(np.abs(S - S.T)) > tol * scale:
+        raise NotSymmetricError("matrix is not symmetric to tolerance")
+    return 0.5 * (S + S.T)
+
+
 def sym_eigs(S):
     """Full spectrum of a symmetric matrix, eigenvalues descending.
 
@@ -104,12 +149,14 @@ def sym_eigs(S):
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError(f"sym_eigs: S must be square, got {S.shape}")
-    tol = 1e-12 * max(1.0, np.max(np.abs(S)))
-    if np.max(np.abs(S - S.T)) > tol:
-        raise NotSymmetricError("sym_eigs: matrix is not symmetric to tolerance")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    w, V = np.linalg.eigh(_symmetrized(S, 1e-12))
     order = np.argsort(-w, kind="stable")
     return EigenPairs(values=w[order], vectors=V[:, order])
+
+
+def _by_modulus(vals):
+    """Indices sorting vals by descending modulus, ties in input order."""
+    return np.lexsort((np.arange(len(vals)), -np.abs(vals)))
 
 
 def general_eigenvalues(A):
@@ -121,73 +168,115 @@ def general_eigenvalues(A):
         vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"general_eigenvalues: {exc}") from exc
-    order = np.lexsort((np.arange(len(vals)), -np.abs(vals)))
-    return vals[order]
+    return vals[_by_modulus(vals)]
 
 
-def _similarity_symmetrize(S, w, tol):
-    """diag(sqrt(w)) S diag(1/sqrt(w)), verified symmetric to tol."""
-    sw = np.sqrt(np.asarray(w, dtype=float))
-    T = (sw[:, None] * S) / sw[None, :]
-    scale = max(1.0, np.max(np.abs(T)))
-    if np.max(np.abs(T - T.T)) > tol * scale:
-        raise NotSymmetricError(
-            "matrix is not self-adjoint in the given weighted inner product"
+def leading_eigs(A, k=None, symmetric=False, vectors=False):
+    """The k leading eigenvalues of a square array or LinearOperator A.
+
+    Leading means largest modulus, or largest value when `symmetric`;
+    k=None asks for all of them, and `vectors` (symmetric only) for unit
+    eigenvectors as columns. Below ARPACK_MIN_N, and for all or all but
+    one of them, A is materialized and solved by LAPACK; a symmetric A
+    must then be symmetric to _SYMMETRY_TOL. Otherwise ARPACK iterates on
+    A from a fixed start vector, and every pair it returns must satisfy
+    ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|), or
+    EigenConvergenceError is raised.
+    """
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
+    n = A.shape[0]
+    if k is None or n < ARPACK_MIN_N or k >= n - 1:
+        M = as_dense(A)
+        if not symmetric:
+            return EigenPairs(values=general_eigenvalues(M)[:k], vectors=None)
+        if vectors:
+            pairs = sym_eigs(M)
+            return EigenPairs(values=pairs.values[:k], vectors=pairs.vectors[:, :k])
+        vals = np.linalg.eigvalsh(_symmetrized(M, _SYMMETRY_TOL))
+        return EigenPairs(values=vals[::-1][:k], vectors=None)
+    return _arpack_eigs(A, k, symmetric, vectors)
+
+
+def _arpack_eigs(A, k, symmetric, vectors):
+    n = A.shape[0]
+    want = min(max(k, _ARPACK_MIN_K), n - 2)
+    v0 = np.random.default_rng(12345).uniform(0.5, 1.5, n)
+    opts = dict(k=want, v0=v0, ncv=min(n, max(2 * want + 1, 20)))
+    try:
+        if symmetric:
+            vals, V = scipy.sparse.linalg.eigsh(A, which="LA", **opts)
+            order = np.argsort(-vals, kind="stable")
+        else:
+            vals, V = scipy.sparse.linalg.eigs(A, which="LM", **opts)
+            order = _by_modulus(vals)
+    except (scipy.sparse.linalg.ArpackError,
+            scipy.sparse.linalg.ArpackNoConvergence) as exc:
+        raise EigenConvergenceError(f"leading_eigs: ARPACK failed: {exc}") from exc
+    vals, V = vals[order[:k]], V[:, order[:k]]
+    AV = A @ V.real if symmetric else A @ V.real + 1j * (A @ V.imag)
+    res = np.linalg.norm(AV - V * vals, axis=0)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if np.any(res > _RESIDUAL_TOL * scale):
+        raise EigenConvergenceError(
+            f"leading_eigs: ARPACK eigenpair residual {np.max(res):.3g} "
+            f"exceeds {_RESIDUAL_TOL:g} x {scale:.6g}"
         )
-    return 0.5 * (T + T.T)
+    return EigenPairs(values=vals, vectors=V if vectors else None)
 
 
 def spectral_radius_symmetric_psd(S, w):
-    """Largest eigenvalue of an operator self-adjoint in l2(w).
-
-    Small problems go through a full symmetric eigensolve of the
-    similarity-transformed matrix; large ones use shifted power iteration.
-    """
-    S = np.asarray(S, dtype=float)
+    """Largest eigenvalue of an operator (array or LinearOperator)
+    self-adjoint in l2(w), from the symmetric similarity
+    diag(sqrt(w)) S diag(1/sqrt(w))."""
     w = np.asarray(w, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"spectral_radius_symmetric_psd: S must be square")
-    if S.shape[0] != w.shape[0]:
+    if len(S.shape) != 2 or S.shape[0] != S.shape[1]:
+        raise DimensionError("spectral_radius_symmetric_psd: S must be square")
+    n = S.shape[0]
+    if w.shape != (n,):
         raise DimensionError("spectral_radius_symmetric_psd: weight length mismatch")
-    T = _similarity_symmetrize(S, w, tol=1e-10)
-    n = T.shape[0]
-    if n <= _POWER_ITERATION_DIM:
-        return float(np.max(np.linalg.eigvalsh(T)))
-    return _shifted_power_largest(T, rel_tol=1e-12)
+    sw = np.sqrt(w)[:, None]
+    if isinstance(S, LinearOperator):
+        T = block_operator(n, lambda X: sw * (S @ (X / sw)))
+    else:
+        T = (sw * np.asarray(S, dtype=float)) / sw.T
+    return float(leading_eigs(T, 1, symmetric=True).values[0])
 
 
-def _shifted_power_largest(T, rel_tol, max_iter=100_000):
-    """Largest (algebraic) eigenvalue of symmetric T by power iteration.
+def resolvent(Q, m):
+    """(I - Q + m 1^T)^{-1} as a LinearOperator, for a column-stochastic
+    Q (array or sparse) with Q m = m and 1^T m = 1.
 
-    A Gershgorin shift makes the target eigenvalue dominant in modulus even
-    when T has large negative eigenvalues.
+    Sparse LU factors B = I - Q + e_r e_r^T once, r the largest entry of
+    m; B is nonsingular when Q is irreducible. The rank-two remainder
+    m 1^T - e_r e_r^T has a closed-form Woodbury correction, because
+    1^T B = e_r^T and B m = m_r e_r: with c = 1^T x and
+    y = B^{-1} (x - m c), the result is m c + y - m (1^T y).
     """
-    n = T.shape[0]
-    radii = np.sum(np.abs(T), axis=1) - np.abs(np.diag(T))
-    shift = max(0.0, -float(np.min(np.diag(T) - radii)))
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = T @ v + shift * v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v_new = u / nu
-        lam_new = float(v_new @ (T @ v_new))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-        v = v_new
-    raise EigenConvergenceError(
-        "shifted power iteration did not reach the requested tolerance"
-    )
+    n = Q.shape[0]
+    r = int(np.argmax(m))
+    E = scipy.sparse.coo_array(([1.0], ([r], [r])), shape=(n, n))
+    B = scipy.sparse.csc_array(scipy.sparse.eye_array(n) - Q + E)
+    try:
+        lu = scipy.sparse.linalg.splu(B)
+    except RuntimeError as exc:  # SuperLU reports an exactly zero pivot
+        raise SingularMatrixError(f"resolvent: {exc}") from exc
+    if np.min(np.abs(lu.U.diagonal())) < 1e-300:
+        raise SingularMatrixError("resolvent: zero pivot encountered")
+    mc = m[:, None]
+
+    def apply(X):
+        c = X.sum(axis=0)
+        Y = lu.solve(X - mc * c)
+        return Y + mc * (c - Y.sum(axis=0))
+
+    return block_operator(n, apply)
 
 
 def weighted_operator_norm(M, w):
-    """Operator norm of M on l2(w), via the self-adjoint composition M* M."""
-    M = np.asarray(M, dtype=float)
+    """Operator norm of M (an array or a LinearOperator) on l2(w), via the
+    self-adjoint composition M* M."""
+    M = as_dense(M)
     w = np.asarray(w, dtype=float)
     # adjoint in l2(w): M* = diag(1/w) M^T diag(w)
     MsM = (M.T * w[None, :]) @ M / w[:, None]

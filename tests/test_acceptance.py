@@ -57,7 +57,7 @@ def test_criterion_02_table3_mixture_rates(bench_1d):
         else:
             P = models.mix(P0, models.left_shift(100), alpha)
             mu = chain.steady_state(P)
-        rho = np.abs(np.linalg.eigvals(chain.deviation(P, mu))).max()
+        rho = np.abs(np.linalg.eigvals(chain.deviation(P, mu) @ np.eye(100))).max()
         assert rho == pytest.approx(target, abs=2e-5)
     assert time.perf_counter() - t0 < 10.0
 
@@ -79,7 +79,7 @@ def test_criterion_03_table4_2d_rates(bench_2d):
         assert rep.angle_bounds[2][0] == pytest.approx(s2, abs=2e-4)
         assert rep.angle_bounds[2][1] == pytest.approx(b2, abs=5e-4)
         assert rep.angle_bounds[3][1] == pytest.approx(b3, abs=5e-4)
-    assert time.perf_counter() - t0 < 600.0
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_criterion_04_split_sweep_shape(bench_1d):
@@ -101,7 +101,7 @@ def test_criterion_04_split_sweep_shape(bench_1d):
 
 def test_criterion_05_exact_spectrum_oracle():
     for P, mu, part in randomized_suite():
-        J = diagnostics.error_operator(P, mu, part)
+        J = diagnostics.error_operator(P, mu, part) @ np.eye(P.n)
         direct = np.linalg.eigvals(J)
         formula = diagnostics.rho_J_exact_formula(P, mu, part)
         padded = np.concatenate([formula, np.zeros(P.n - len(formula))])
@@ -136,10 +136,10 @@ def test_criterion_07_operator_identities():
         I = np.eye(N)
         A = coarse.aggregation_matrix(part)
         D = coarse.disaggregation_matrix(mu.probs, part)
-        Pi = coarse.orthogonal_projection(mu.probs, part)
-        S = coarse.coarse_projection(P, mu, mu, part)
-        J = diagnostics.error_operator(P, mu, part)
-        hat = chain.deviation(P, mu)
+        Pi = coarse.orthogonal_projection(mu.probs, part) @ I
+        S = coarse.coarse_projection(P, mu, mu, part) @ I
+        J = diagnostics.error_operator(P, mu, part) @ I
+        hat = chain.deviation(P, mu) @ I
         w = 1.0 / mu.probs
         assert np.max(np.abs(A @ D - np.eye(part.n))) < 1e-10
         assert np.max(np.abs(Pi @ Pi - Pi)) < 1e-10

@@ -179,6 +179,18 @@ def test_reversibility_detection():
     assert not chain.is_reversible(Q, chain.steady_state(Q))
 
 
+def test_time_reversal_keeps_csc(bench_1d):
+    P, mu = bench_1d
+    R = chain.time_reversal(P, mu)
+    assert R.mat.format == "csc"
+    m = mu.probs
+    assert np.allclose(R.dense(), (m[:, None] * P.dense().T) / m[None, :],
+                       atol=1e-15)
+    assert chain.is_reversible(P, mu)
+    Q = models.mix(P, models.left_shift(P.n), 0.1)
+    assert not chain.is_reversible(Q, chain.steady_state(Q))
+
+
 def test_pstar_p_spectrum_structure():
     rng = np.random.default_rng(4)
     P = random_chain(rng, 10)
@@ -208,7 +220,7 @@ def test_deviation_kills_mu_direction():
     rng = np.random.default_rng(7)
     P = random_chain(rng, 7)
     mu = chain.steady_state(P)
-    hat = chain.deviation(P, mu)
+    hat = chain.deviation(P, mu) @ np.eye(7)
     assert np.allclose(hat @ mu.probs, 0.0, atol=1e-12)
     assert np.allclose(np.ones(7) @ hat, 0.0, atol=1e-12)
 

@@ -77,7 +77,7 @@ def test_orthogonal_projection_idempotent_selfadjoint():
     rng = np.random.default_rng(3)
     part = random_partition(rng, 8, 3)
     nu = rng.random(8) + 0.1
-    Pi = coarse.orthogonal_projection(nu, part)
+    Pi = coarse.orthogonal_projection(nu, part) @ np.eye(8)
     assert np.max(np.abs(Pi @ Pi - Pi)) < 1e-12
     # self-adjoint in l2(1/nu): diag(1/nu) Pi symmetric
     W = Pi / nu[:, None]
@@ -89,8 +89,8 @@ def test_coarse_projection_identities():
     P = random_chain(rng, 10)
     mu = chain.steady_state(P)
     part = random_partition(rng, 10, 3)
-    S = coarse.coarse_projection(P, mu, mu, part)
-    Pi = coarse.orthogonal_projection(mu.probs, part)
+    S = coarse.coarse_projection(P, mu, mu, part) @ np.eye(10)
+    Pi = coarse.orthogonal_projection(mu.probs, part) @ np.eye(10)
     assert np.max(np.abs(S @ S - S)) < 1e-10
     assert np.max(np.abs(Pi @ S - S)) < 1e-10
     assert np.max(np.abs(S @ Pi - Pi)) < 1e-10

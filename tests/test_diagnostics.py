@@ -1,9 +1,14 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain, random_partition, random_reversible_chain
-from iadrate import chain, coarse, diagnostics, models
-from iadrate.errors import ReducibleMatrixError
+from iadrate import chain, coarse, diagnostics, linalg, models
+from iadrate.errors import IadError, ReducibleMatrixError
 
 
 def sorted_by_modulus(vals):
@@ -16,15 +21,15 @@ def test_error_operator_single_coarse_state():
     rng = np.random.default_rng(0)
     P = random_chain(rng, 8)
     mu = chain.steady_state(P)
-    J = diagnostics.error_operator(P, mu, coarse.trivial_partition(8))
-    assert np.allclose(J, chain.deviation(P, mu), atol=1e-12)
+    J = diagnostics.error_operator(P, mu, coarse.trivial_partition(8)) @ np.eye(8)
+    assert np.allclose(J, chain.deviation(P, mu) @ np.eye(8), atol=1e-12)
 
 
 def test_error_operator_singleton_partition_is_zero():
     rng = np.random.default_rng(1)
     P = random_chain(rng, 6)
     mu = chain.steady_state(P)
-    J = diagnostics.error_operator(P, mu, coarse.singleton_partition(6))
+    J = diagnostics.error_operator(P, mu, coarse.singleton_partition(6)) @ np.eye(6)
     assert np.max(np.abs(J)) < 1e-12
 
 
@@ -34,7 +39,7 @@ def test_error_operator_rank_one_chain_is_zero():
     P = chain.StochasticMatrix(mat=np.tile(m[:, None], (1, 5)))
     mu = chain.ProbabilityVector(probs=m)
     part = coarse.make_partition(np.array([0, 0, 1, 1, 1]), 2)
-    J = diagnostics.error_operator(P, mu, part)
+    J = diagnostics.error_operator(P, mu, part) @ np.eye(5)
     assert np.max(np.abs(J)) < 1e-12
 
 
@@ -49,7 +54,7 @@ def test_exact_formula_matches_direct_spectrum():
         P = random_chain(rng, N)
         mu = chain.steady_state(P)
         part = random_partition(rng, N, int(rng.integers(2, 5)))
-        J = diagnostics.error_operator(P, mu, part)
+        J = diagnostics.error_operator(P, mu, part) @ np.eye(N)
         direct = np.linalg.eigvals(J)
         formula = diagnostics.rho_J_exact_formula(P, mu, part)
         padded = np.concatenate([formula, np.zeros(N - len(formula))])
@@ -119,9 +124,11 @@ def test_angle_bound_rejects_lambda2_one():
 def test_projection_pair_invariants(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
-    pair = diagnostics.projection_pair(P, mu, part, 3)
+    sd = chain.pstar_p_spectrum(P, mu, 3)
+    Q_k = sd.right_vectors @ sd.left_vectors.T
     w = 1.0 / mu.probs
-    for M in (pair.Pi, pair.Q_k):
+    # Pi is also covered by acceptance criterion 7
+    for M in (coarse.orthogonal_projection(mu, part) @ np.eye(100), Q_k):
         assert np.max(np.abs(M @ M - M)) < 1e-10
         W = w[:, None] * M
         assert np.max(np.abs(W - W.T)) < 1e-8
@@ -205,3 +212,108 @@ def test_reversible_random_chains_bound_chain():
         for _, bound in rep.angle_bounds.values():
             assert rep.norm_bound <= bound + 1e-8
             assert bound <= rep.sqrt_lambda2 + 1e-8
+
+
+def _chain_of_kind(rng, N, kind):
+    if kind == "reversible":
+        return random_reversible_chain(rng, N)
+    if kind == "nearly decomposable":
+        return random_reversible_chain(rng, N, split=N // 2, coupling=1e-3)
+    P = random_chain(rng, N)
+    return P, chain.steady_state(P)
+
+
+def _on_both_branches(fn):
+    """fn() with the eigensolves on LAPACK, then on ARPACK: the crossover
+    is lowered below every fine operator, while the k x k Gram matrix of
+    sin_theta stays dense."""
+    dense = fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ARPACK_MIN_N", 10)
+        return dense, fn()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(10, 60),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.integers(0, 10_000))
+def test_arpack_branch_matches_lapack_branch(N, kind, seed):
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    part = random_partition(rng, N, int(rng.integers(2, min(N, 8))))
+
+    def quantities():
+        rep = diagnostics.full_report(P, part, [2, 3], mu)
+        lambdas = chain.pstar_p_spectrum(P, mu, 4).lambdas
+        if rep.reversible:
+            assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
+        return np.array(
+            [rep.rho_J, rep.rho_hatP, rep.norm_bound, *lambdas]
+            + [np.sqrt(rep.angle_bounds[k][0]) for k in (2, 3)]
+            + [rep.angle_bounds[k][1] for k in (2, 3)])
+
+    dense, arpack = _on_both_branches(quantities)
+    assert np.max(np.abs(arpack - dense)) < 1e-8
+
+
+def _outcome(fn):
+    try:
+        return np.atleast_1d(np.asarray(fn(), dtype=float))
+    except IadError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("N", [12, 13, 20, 33, 60])
+def test_cyclic_shift_on_arpack_matches_lapack_or_raises(N):
+    # P* P = I, so lambda_2 = 1 and every eigenvalue of P_hat has modulus
+    # one: ARPACK must give the dense answer or raise a typed error
+    P = models.right_shift(N)
+    mu = chain.steady_state(P)
+    part = models.uniform1d(N, 3, 1)
+
+    def report():
+        rep = diagnostics.full_report(P, part, [2, 3], mu)
+        return [rep.rho_J, rep.rho_exact_formula, rep.norm_bound,
+                rep.sqrt_lambda2, rep.rho_hatP,
+                *np.ravel(list(rep.angle_bounds.values()))]
+
+    pieces = (
+        report,
+        lambda: diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part)),
+        lambda: diagnostics.rho_hatP(P, mu),
+        lambda: chain.pstar_p_spectrum(P, mu, 4).lambdas,
+        lambda: np.max(np.abs(diagnostics.rho_J_exact_formula(P, mu, part))),
+    )
+    for piece in pieces:
+        dense, arpack = _on_both_branches(lambda: _outcome(piece))
+        if isinstance(arpack, IadError):
+            continue
+        assert not isinstance(dense, IadError), (dense, arpack)
+        assert np.allclose(arpack, dense, atol=1e-8, equal_nan=True)
+    # lambda_2 = 1 leaves no angle bound; the dense report raises first,
+    # in the non-reversible norm bound, whose resolvent is singular
+    assert chain.pstar_p_spectrum(P, mu, 2).lambdas[1] == pytest.approx(1.0)
+    assert isinstance(_outcome(report), IadError)
+
+
+def test_full_report_at_ten_thousand_states_stays_matrix_free(monkeypatch):
+    spec = dataclasses.replace(models.benchmark_chain_2d_spec(), N=100)
+    mu = models.boltzmann_2d(spec)
+    P = models.reversible_chain_2d(mu, spec)
+
+    def no_dense(self):
+        raise AssertionError("an N x N copy of P was taken")
+
+    monkeypatch.setattr(chain.StochasticMatrix, "dense", no_dense)
+    tracemalloc.start()
+    try:
+        rep = diagnostics.full_report(P, models.grid2d(100, 6), [2, 3], mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6  # one dense N x N array takes 800 MB
+    assert rep.reversible
+    assert rep.norm_bound == pytest.approx(rep.rho_J, abs=1e-8)
+    assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
+    for _, bound in rep.angle_bounds.values():
+        assert bound >= rep.rho_J

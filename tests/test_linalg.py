@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iadrate import linalg
+from conftest import random_chain
+from iadrate import chain, linalg, models
 from iadrate.errors import (
     AmbiguousNullspaceError,
+    EigenConvergenceError,
     NotSymmetricError,
     SingularMatrixError,
 )
@@ -116,3 +119,48 @@ def test_weighted_norm_consistency(n, seed):
     lhs = linalg.weighted_norm(M @ x, w)
     rhs = linalg.weighted_operator_norm(M, w) * linalg.weighted_norm(x, w)
     assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+
+def _diagonal_operator(d):
+    return linalg.block_operator(len(d), lambda X: d[:, None] * X)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_leading_eigs_arpack_branch(symmetric):
+    # above the crossover ARPACK runs on the operator, below it LAPACK
+    # on the materialized matrix
+    for n in (linalg.ARPACK_MIN_N + 50, 50):
+        d = np.linspace(-0.5, 1.0, n)
+        d[7] = -2.0  # largest modulus, smallest value
+        got = linalg.leading_eigs(_diagonal_operator(d), 3, symmetric=symmetric)
+        expect = [1.0, d[-2], d[-3]] if symmetric else [-2.0, 1.0, d[-2]]
+        assert np.allclose(got.values, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["eigs", "eigsh"])
+def test_leading_eigs_rejects_an_arpack_pair_with_a_large_residual(monkeypatch, solver):
+    # an eigenvalue off by 1e-6 relative is caught by the residual check
+    real = getattr(scipy.sparse.linalg, solver)
+
+    def off(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        return vals * (1.0 + 1e-6), vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, solver, off)
+    d = np.linspace(0.0, 1.0, linalg.ARPACK_MIN_N + 50)
+    with pytest.raises(EigenConvergenceError):
+        linalg.leading_eigs(_diagonal_operator(d), 2, symmetric=solver == "eigsh")
+
+
+def test_resolvent_matches_dense_inverse():
+    rng = np.random.default_rng(12)
+    for P in (random_chain(rng, 15), models.reversible_chain_1d(
+            models.boltzmann_1d(models.benchmark_chain_1d_spec()))):
+        m = chain.steady_state(P).probs
+        I = np.eye(P.n)
+        expect = np.linalg.inv(I - P.dense() + np.outer(m, np.ones(P.n)))
+        got = linalg.resolvent(P.mat, m) @ I
+        assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
+    # P* P = I for a cyclic shift: I - Q + m 1^T is singular
+    with pytest.raises(SingularMatrixError):
+        linalg.resolvent(np.eye(12), np.full(12, 1.0 / 12))
