@@ -35,34 +35,20 @@ def _neglog(x):
 
 
 def _load_model(args):
+    """(config, P, mu or None, partition or None) from --model and, on the
+    commands that take it, --partition: a partition file, or an inline
+    spec that replaces the config's partition keys."""
     cfg = models.load_config(args.model) if args.model else {}
-    return models.build_model(cfg)
-
-
-def _parse_partition(text, N):
-    """Partition from a file path or an inline `kind:key=val,...` spec."""
-    if os.path.exists(text):
-        return coarse.load_partition(text)
-    if ":" in text:
-        kind, rest = text.split(":", 1)
-        params = {}
-        for piece in rest.split(","):
-            if piece:
-                key, val = piece.split("=", 1)
-                params[key.strip()] = int(val)
-    else:
-        kind, params = text, {}
-    params.setdefault("N", N)
-    return models.partition_families(kind, **params)
-
-
-def _resolve_partition(args, P, part_from_cfg):
-    if args.partition:
-        N = P.n if "2d" not in args.partition else int(round(np.sqrt(P.n)))
-        return _parse_partition(args.partition, N)
-    if part_from_cfg is not None:
-        return part_from_cfg
-    raise ValueError("no partition given (use --partition or the config)")
+    text = vars(args).get("partition")
+    from_file = text is not None and os.path.exists(text)
+    if text is not None and not from_file:
+        cfg = models.with_partition(cfg, text)
+    P, mu, part = models.build_model(cfg)
+    if from_file:
+        part = coarse.load_partition(text)
+    if part is None and "partition" in vars(args):
+        raise ValueError("no partition given (use --partition or the config)")
+    return cfg, P, mu, part
 
 
 def _write_csv(path, header, rows):
@@ -73,9 +59,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
-    cfg = models.load_config(args.model) if args.model else {}
-    P, _, cfg_part = models.build_model(cfg)
-    part = _resolve_partition(args, P, cfg_part)
+    cfg, P, _, part = _load_model(args)
     fixtures = models.pathological_fixtures()
     if cfg.get("model") in fixtures:
         mu0 = fixtures[cfg["model"]][2]
@@ -103,7 +87,7 @@ def cmd_solve(args):
 
 
 def cmd_spectrum(args):
-    P, mu, _ = _load_model(args)
+    _, P, mu, _ = _load_model(args)
     if mu is None:
         mu = chain.steady_state(P)
     sd = chain.pstar_p_spectrum(P, mu, min(P.n, args.max_n))
@@ -118,8 +102,7 @@ def cmd_spectrum(args):
 
 
 def cmd_report(args):
-    P, mu, cfg_part = _load_model(args)
-    part = _resolve_partition(args, P, cfg_part)
+    _, P, mu, part = _load_model(args)
     rep = diagnostics.full_report(P, part, k_list=args.k_list, mu=mu)
     os.makedirs(args.out, exist_ok=True)
     payload = {
@@ -139,39 +122,21 @@ def cmd_report(args):
     return 0
 
 
-def _chain_1d_family():
-    spec = models.benchmark_chain_1d_spec()
-    mu = models.boltzmann_1d(spec)
-    P = models.reversible_chain_1d(mu)
-    return P, mu
-
-
 def _rho_for(P, mu, part):
     return diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))
 
 
 def _shift_study_rows(alphas, max_n):
     """max over ell of rho(J) for uniform n-strata partitions, per (n, alpha)."""
-    P0, mu0 = _chain_1d_family()
-    N = P0.n
-    per_alpha = {}
-    for a in alphas:
-        if a == 0.0:
-            per_alpha[a] = (P0, mu0)
-        else:
-            Pa = models.mix(P0, models.left_shift(N), a)
-            per_alpha[a] = (Pa, chain.steady_state(Pa))
-    jobs = []
-    for n in range(1, max_n + 1):
-        for a in alphas:
-            jobs.append((n, a))
+    per_alpha = {a: models.shift_mixture_1d(a) for a in alphas}
+    jobs = [(n, a) for n in range(1, max_n + 1) for a in alphas]
 
     def run(job):
         n, a = job
         P, mu = per_alpha[a]
         worst = 0.0
-        for ell in range(0, N // n + 1):
-            part = models.uniform1d(N, n, ell)
+        for ell in range(0, P.n // n + 1):
+            part = models.uniform1d(P.n, n, ell)
             worst = max(worst, _rho_for(P, mu, part))
         return n, a, worst
 
@@ -190,13 +155,8 @@ def cmd_shift_study(args):
 
 def _split_sweep_rows(alpha, k):
     """rho, norm bound and angle bound across all two-way splits."""
-    P0, mu0 = _chain_1d_family()
-    N = P0.n
-    if alpha == 0.0:
-        P, mu = P0, mu0
-    else:
-        P = models.mix(P0, models.left_shift(N), alpha)
-        mu = chain.steady_state(P)
+    P, mu = models.shift_mixture_1d(alpha)
+    N = P.n
     rev = chain.is_reversible(P, mu)
     sd = chain.pstar_p_spectrum(P, mu, k + 1)
 
@@ -220,12 +180,11 @@ _SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
 
 def cmd_refine_study(args):
     """Nested uniform partitions on the 1D chain: rate against n."""
-    P, mu = _chain_1d_family()
-    N = P.n
+    P, mu = models.shift_mixture_1d(0.0)
     rows = []
     prev = None
     for n in (1, 2, 4, 8, 16, 32):
-        part = models.uniform1d(N, n, 0)
+        part = models.uniform1d(P.n, n, 0)
         if prev is None:
             rho = _rho_for(P, mu, part)
         else:
@@ -241,7 +200,7 @@ def cmd_tables(args):
     os.makedirs(args.out, exist_ok=True)
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain
-    P1, mu1 = _chain_1d_family()
+    P1, mu1 = models.shift_mixture_1d(0.0)
     sd1 = chain.pstar_p_spectrum(P1, mu1, 5)
     rows = []
     for k in range(1, 5):
@@ -253,24 +212,20 @@ def cmd_tables(args):
     # table3: power-method rate of the shift mixtures
     rows = []
     for a in args.alpha:
-        if a == 0.0:
-            Pa, mua = P1, mu1
-        else:
-            Pa = models.mix(P1, models.left_shift(P1.n), a)
-            mua = chain.steady_state(Pa)
+        Pa, mua = models.shift_mixture_1d(a)
         rho = diagnostics.rho_hatP(Pa, mua)
         rows.append([_fmt(a), _fmt(rho), _neglog(rho)])
     _write_csv(os.path.join(args.out, "table3.csv"),
                "alpha,rho_hatP,neglog10", rows)
 
     # table4: rate and bounds for the 2D chain under two aggregations
-    spec2 = models.benchmark_chain_2d_spec()
-    mu2 = models.boltzmann_2d(spec2)
-    P2 = models.reversible_chain_2d(mu2, spec2)
-    reports = [
-        diagnostics.full_report(P2, part, k_list=args.k_list, mu=mu2)
-        for part in (models.stripes2d(spec2.N, 3), models.grid2d(spec2.N, 6))
-    ]
+    parts = ("stripes2d:s=3", "grid2d:s=6")
+    reports = []
+    for text in parts:
+        P2, mu2, part = models.build_model(
+            models.with_partition({"model": "chain2d"}, text))
+        reports.append(
+            diagnostics.full_report(P2, part, k_list=args.k_list, mu=mu2))
     rows = [
         ["rho_J"] + [_fmt(r.rho_J) for r in reports],
         ["norm_bound"] + [_fmt(r.norm_bound) for r in reports],
@@ -281,7 +236,7 @@ def cmd_tables(args):
         rows.append([f"angle_bound_k{k}"]
                     + [_fmt(r.angle_bounds[k][1]) for r in reports])
     _write_csv(os.path.join(args.out, "table4.csv"),
-               "quantity,stripes2d:s=3,grid2d:s=6", rows)
+               ",".join(("quantity",) + parts), rows)
 
     # fig2: worst-case rate over stratum shifts
     _write_csv(os.path.join(args.out, "fig2.csv"),
@@ -300,8 +255,30 @@ def _float_list(text):
     return [float(s) for s in text.split(",") if s]
 
 
-def _int_list(text):
-    return [int(s) for s in text.split(",") if s]
+def _k_list(text):
+    ks = [int(s) for s in text.split(",") if s]
+    if not ks or min(ks) < 2:
+        raise argparse.ArgumentTypeError(f"need a nonempty list of k >= 2, got {text!r}")
+    return ks
+
+
+def _max_n(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need max-n >= 1, got {n}")
+    return n
+
+
+_FLAGS = {
+    "model": dict(help="key=value model config file"),
+    "partition": dict(help="partition file or inline kind:key=val spec"),
+    "tau": dict(type=float, default=1e-9),
+    "max-outer": dict(type=int, default=10000),
+    "k-list": dict(type=_k_list, default=[2, 3]),
+    "alpha": dict(type=_float_list, default=[0.0, 0.05, 0.15]),
+    "max-n": dict(type=_max_n, default=20),
+    "out": dict(default="."),
+}
 
 
 def make_parser():
@@ -310,25 +287,17 @@ def make_parser():
         description="Aggregation/disaggregation steady-state solver and "
                     "convergence-rate diagnostics for Markov chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", default=None,
-                        help="key=value model config file")
-    common.add_argument("--partition", default=None,
-                        help="partition file or inline kind:key=val spec")
-    common.add_argument("--tau", type=float, default=1e-9)
-    common.add_argument("--out", default=".")
-    common.add_argument("--k-list", dest="k_list", type=_int_list,
-                        default=[2, 3])
-    common.add_argument("--alpha", type=_float_list,
-                        default=[0.0, 0.05, 0.15])
-    common.add_argument("--max-n", dest="max_n", type=int, default=20)
-    common.add_argument("--max-outer", dest="max_outer", type=int,
-                        default=10000)
-    for name, fn in (("solve", cmd_solve), ("spectrum", cmd_spectrum),
-                     ("report", cmd_report), ("shift-study", cmd_shift_study),
-                     ("refine-study", cmd_refine_study),
-                     ("tables", cmd_tables)):
-        p = sub.add_parser(name, parents=[common])
+    # each command takes only the flags it reads
+    for name, fn, flags in (
+            ("solve", cmd_solve, ("model", "partition", "tau", "max-outer", "out")),
+            ("spectrum", cmd_spectrum, ("model", "max-n", "out")),
+            ("report", cmd_report, ("model", "partition", "k-list", "out")),
+            ("shift-study", cmd_shift_study, ("alpha", "max-n", "out")),
+            ("refine-study", cmd_refine_study, ("out",)),
+            ("tables", cmd_tables, ("alpha", "k-list", "max-n", "out"))):
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -148,6 +148,8 @@ def coarse_projection(P, mu, nu, part):
     inner matrix built separately (I - C(nu) + (A mu) 1^T) is not when
     the coarse chain is nearly decomposable.
     """
+    if P.n != part.fine_n:
+        raise PartitionError("coarse_projection: matrix size does not match partition")
     nu = _positive(nu, "coarse_projection")
     N, a, n = P.n, part.assignment, part.n
     rows, cols, vals = P.nonzeros()

@@ -3,14 +3,15 @@ steady states, irreversible shift mixtures, the partition families used
 in the experiments, and small pathological fixtures.
 """
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 import scipy.sparse
 
-from .chain import ProbabilityVector, StochasticMatrix, validate
-from .coarse import Partition, make_partition, singleton_partition, trivial_partition
+from .chain import ProbabilityVector, StochasticMatrix, steady_state, validate
+from .coarse import make_partition, singleton_partition, trivial_partition
 from .errors import PartitionError
 
 
@@ -19,25 +20,19 @@ def double_well_potential(x):
     return (1.0 - x**2) ** 2 + 0.5 * x
 
 
-def two_dim_potential(x, y, park_variant=False, quartic=True):
+def two_dim_potential(x, y):
     """Sum-of-Gaussians surface with two deep wells and a shallow one,
-    confined by quartic walls.
-
-    park_variant=False keeps the (y^2 - 5/3)^2 exponent in the second term;
-    True replaces it with (y - 5/3)^2. quartic=False drops the confinement
-    terms. The defaults are the combination that reproduces the reference
-    eigenvalues of the 2D experiment (see README).
+    confined by quartic walls; the (y^2 - 5/3)^2 exponent of the second
+    term and the walls reproduce the reference eigenvalues of the 2D
+    experiment (see README).
     """
-    t2 = (y - 5.0 / 3.0) ** 2 if park_variant else (y**2 - 5.0 / 3.0) ** 2
-    v = (
+    return (
         3.0 * np.exp(-(x**2) - (y - 1.0 / 3.0) ** 2)
-        - 3.0 * np.exp(-(x**2) - t2)
+        - 3.0 * np.exp(-(x**2) - (y**2 - 5.0 / 3.0) ** 2)
         - 5.0 * np.exp(-((x - 1.0) ** 2) - y**2)
         - 5.0 * np.exp(-((x + 1.0) ** 2) - y**2)
+        + 0.2 * x**4 + 0.2 * (y - 1.0 / 3.0) ** 4
     )
-    if quartic:
-        v = v + 0.2 * x**4 + 0.2 * (y - 1.0 / 3.0) ** 4
-    return v
 
 
 @dataclass(frozen=True)
@@ -71,25 +66,15 @@ class Chain2DSpec:
             raise ValueError(f"Chain2DSpec: unknown move_set {self.move_set!r}")
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("MixSpec: alpha must lie in [0, 1]")
-
-
 def benchmark_chain_1d_spec():
     """Parameters of the standard 1D experiment."""
     return Chain1DSpec(potential=double_well_potential, a=-1.7, b=1.55, N=100, T=0.1)
 
 
-def benchmark_chain_2d_spec(move_set="axis_aligned", park_variant=False):
+def benchmark_chain_2d_spec(move_set="axis_aligned"):
     """Parameters of the standard 2D experiment."""
-    pot = lambda x, y: two_dim_potential(x, y, park_variant=park_variant)
-    return Chain2DSpec(potential=pot, a=-1.7, b=1.7, c=-1.7, d=2.0, N=50, T=0.25,
-                       move_set=move_set)
+    return Chain2DSpec(potential=two_dim_potential, a=-1.7, b=1.7, c=-1.7, d=2.0,
+                       N=50, T=0.25, move_set=move_set)
 
 
 def boltzmann_1d(spec):
@@ -154,6 +139,18 @@ def mix(P, W, alpha):
     if P.mat.shape != W.mat.shape:
         raise ValueError("mix: dimension mismatch")
     return StochasticMatrix(mat=(1.0 - alpha) * P.mat + alpha * W.mat)
+
+
+def shift_mixture_1d(alpha):
+    """(P, mu) for the benchmark 1D chain mixed with the left shift,
+    (1 - alpha) P + alpha L: mu is the Boltzmann distribution at alpha = 0
+    and the GTH steady state of the mixture otherwise."""
+    mu = boltzmann_1d(benchmark_chain_1d_spec())
+    P = reversible_chain_1d(mu)
+    if alpha == 0.0:
+        return P, mu
+    P = mix(P, left_shift(P.n), alpha)
+    return P, steady_state(P)
 
 
 def boltzmann_2d(spec):
@@ -254,14 +251,26 @@ def grid2d(N, s):
     return make_partition(ii * s + jj, s * s)
 
 
+_PARTITIONS = {"uniform1d": uniform1d, "split1d": split1d,
+               "stripes2d": stripes2d, "grid2d": grid2d,
+               "singleton": singleton_partition, "trivial": trivial_partition}
+# kinds whose N is the side of an N x N grid, not the number of states
+_GRID_KINDS = ("stripes2d", "grid2d")
+
+
 def partition_families(kind, **params):
-    """Dispatch to the named partition constructor."""
-    table = {"uniform1d": uniform1d, "split1d": split1d,
-             "stripes2d": stripes2d, "grid2d": grid2d,
-             "singleton": singleton_partition, "trivial": trivial_partition}
-    if kind not in table:
+    """Dispatch to the named partition constructor, which must get each of
+    its parameters and nothing else."""
+    if kind not in _PARTITIONS:
         raise PartitionError(f"partition_families: unknown kind {kind!r}")
-    return table[kind](**params)
+    fn = _PARTITIONS[kind]
+    names = list(inspect.signature(fn).parameters)
+    unknown = sorted(set(params) - set(names))
+    missing = [name for name in names if name not in params]
+    if unknown or missing:
+        raise PartitionError(f"partition {kind!r} takes {', '.join(names)}: "
+                             f"unknown {unknown}, missing {missing}")
+    return fn(**params)
 
 
 def pathological_fixtures():
@@ -304,11 +313,8 @@ def pathological_fixtures():
 
 
 def load_config(path):
-    """Parse a flat key=value model config file into a dict.
-
-    Recognized keys: model, N, T, a, b, c, d, alpha, move_set,
-    park_variant, partition.kind, partition.n, partition.ell, partition.s.
-    """
+    """Parse a flat key=value model config file into a dict (the keys are
+    checked by build_model)."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -322,48 +328,69 @@ def load_config(path):
     return cfg
 
 
+def with_partition(cfg, text):
+    """cfg with its partition.* keys replaced by those of an inline
+    `kind:key=val,...` spec such as `split1d:ell=57` or `trivial`."""
+    kind, _, rest = text.partition(":")
+    out = {k: v for k, v in cfg.items() if not k.startswith("partition.")}
+    out["partition.kind"] = kind
+    for piece in filter(None, rest.split(",")):
+        key, eq, val = piece.partition("=")
+        if not eq:
+            raise PartitionError(f"partition {text!r}: expected key=val, got {piece!r}")
+        out[f"partition.{key.strip()}"] = val
+    return out
+
+
 def build_model(cfg):
     """Instantiate (P, mu_or_None, partition_or_None) from a config dict.
 
-    mu is returned only when it is analytically known (reversible
-    Boltzmann chains with alpha = 0).
+    `model` is chain1d (default), chain2d or a pathological fixture. The
+    chains take `alpha` (left-shift mixing weight) and the fields of their
+    benchmark spec but the potential; any other key raises ValueError.
+    `partition.kind` and its constructor's parameters but N name the
+    partition; N is the chain2d grid side for the 2D kinds and the state
+    count otherwise. mu is returned only when it is analytically known
+    (Boltzmann chains with alpha = 0).
     """
-    kind = cfg.get("model", "chain1d")
-    alpha = float(cfg.get("alpha", 0.0))
+    cfg = dict(cfg)
+    kind = cfg.pop("model", "chain1d")
+    params = {key.split(".", 1)[1]: cfg.pop(key)
+              for key in list(cfg) if key.startswith("partition.")}
     fixtures = pathological_fixtures()
-    if kind in fixtures:
-        P, part, _ = fixtures[kind]
-        return P, None, part
-    if kind == "chain1d":
-        spec = Chain1DSpec(
-            potential=double_well_potential,
-            a=float(cfg.get("a", -1.7)), b=float(cfg.get("b", 1.55)),
-            N=int(cfg.get("N", 100)), T=float(cfg.get("T", 0.1)))
-        mu = boltzmann_1d(spec)
-        P = reversible_chain_1d(mu)
-    elif kind == "chain2d":
-        park = cfg.get("park_variant", "0") in ("1", "true", "yes")
-        pot = lambda x, y: two_dim_potential(x, y, park_variant=park)
-        spec = Chain2DSpec(
-            potential=pot,
-            a=float(cfg.get("a", -1.7)), b=float(cfg.get("b", 1.7)),
-            c=float(cfg.get("c", -1.7)), d=float(cfg.get("d", 2.0)),
-            N=int(cfg.get("N", 50)), T=float(cfg.get("T", 0.25)),
-            move_set=cfg.get("move_set", "axis_aligned"))
-        mu = boltzmann_2d(spec)
-        P = reversible_chain_2d(mu, spec)
-    else:
+    specs = {"chain1d": benchmark_chain_1d_spec(), "chain2d": benchmark_chain_2d_spec()}
+    if kind not in fixtures and kind not in specs:
         raise ValueError(f"build_model: unknown model {kind!r}")
-    if alpha > 0.0:
-        P = mix(P, left_shift(P.n), alpha)
-        mu = None
-    part = None
-    if "partition.kind" in cfg:
-        pkind = cfg["partition.kind"]
-        params = {"N": P.n if kind == "chain1d" else int(cfg.get("N", 50))}
-        for key, name in (("partition.n", "n"), ("partition.ell", "ell"),
-                          ("partition.s", "s")):
-            if key in cfg:
-                params[name] = int(cfg[key])
-        part = partition_families(pkind, **params)
+    spec = specs.get(kind)
+    names = [] if spec is None else ["alpha"] + [
+        f.name for f in fields(spec) if f.name != "potential"]
+    for key in cfg:
+        if key not in names:
+            raise ValueError(f"build_model: unknown key {key!r} for model {kind!r}")
+    mu = side = None
+    if spec is None:
+        P, part, _ = fixtures[kind]
+    else:
+        alpha = float(cfg.pop("alpha", 0.0))
+        spec = replace(
+            spec, **{key: type(getattr(spec, key))(val) for key, val in cfg.items()})
+        if kind == "chain1d":
+            mu = boltzmann_1d(spec)
+            P = reversible_chain_1d(mu)
+        else:
+            mu = boltzmann_2d(spec)
+            P, side = reversible_chain_2d(mu, spec), spec.N
+        part = None
+        if alpha != 0.0:
+            P, mu = mix(P, left_shift(P.n), alpha), None
+    if params:
+        pkind = params.pop("kind", None)
+        if pkind is None:
+            raise PartitionError(f"partition keys {sorted(params)} without partition.kind")
+        if "N" in params:
+            raise PartitionError("partition N is set by the model")
+        if pkind in _GRID_KINDS and side is None:
+            raise PartitionError(f"partition {pkind!r} needs a model on a 2D grid")
+        N = side if pkind in _GRID_KINDS else P.n
+        part = partition_families(pkind, N=N, **{k: int(v) for k, v in params.items()})
     return P, mu, part

@@ -1,4 +1,6 @@
+import csv
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +10,10 @@ import numpy as np
 import pytest
 
 import iadrate
-from iadrate import chain
+from iadrate import chain, cli, coarse, models
 from iadrate.cli import main
+
+TABLE4 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table4.csv"
 
 
 def write_cfg(tmp_path, text, name="model.cfg"):
@@ -69,7 +73,6 @@ def test_spectrum_values(tmp_path):
 
 
 def test_report_json(tmp_path):
-    import json
     cfg = write_cfg(tmp_path, "model = chain1d\npartition.kind = split1d\n"
                               "partition.ell = 57\n")
     code = main(["report", "--model", cfg, "--out", str(tmp_path),
@@ -146,3 +149,118 @@ def test_module_entry_point_warns_nothing():
          "--help"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cfg_text, flags, column", [
+    ("model = chain2d\n", ["--partition", "stripes2d:s=3"], "stripes2d:s=3"),
+    ("model = chain2d\npartition.kind = grid2d\npartition.s = 6\n", [],
+     "grid2d:s=6"),
+])
+def test_report_chain2d_matches_table4(tmp_path, cfg_text, flags, column):
+    with open(TABLE4, newline="") as fh:
+        ref = {row["quantity"]: float(row[column]) for row in csv.DictReader(fh)}
+    cfg = write_cfg(tmp_path, cfg_text)
+    assert main(["report", "--model", cfg, *flags, "--k-list", "2",
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    for quantity in ("rho_J", "norm_bound"):
+        assert rep[quantity] == pytest.approx(ref[quantity], abs=1e-6)
+
+
+def test_report_chain2d_trivial_partition(tmp_path):
+    # the single stratum sizes by the 2500 states, not the grid side
+    cfg = write_cfg(tmp_path, "model = chain2d\npartition.kind = trivial\n")
+    assert main(["report", "--model", cfg, "--k-list", "2",
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["rho_J"] == pytest.approx(rep["rho_hatP"], abs=1e-8)
+
+
+@pytest.mark.parametrize("cfg_text, argv, message", [
+    ("", ["solve", "--partition", "split1d"], "missing ['ell']"),
+    ("", ["solve", "--partition", "split1d:foo=3"], "unknown ['foo']"),
+    ("partition.kind = split1d\npartition.el = 57\n", ["solve"],
+     "unknown ['el']"),
+    ("", ["solve", "--partition", "split1d:ell=57,N=100"], "set by the model"),
+    ("", ["solve", "--partition", "grid2d:s=2"], "needs a model on a 2D grid"),
+    ("model = marek\nalpha = 0.5\n", ["spectrum"], "'alpha'"),
+    ("", ["spectrum", "--max-n", "0"], "--max-n"),
+    ("", ["tables", "--k-list="], "--k-list"),
+    ("", ["report", "--partition", "split1d:ell=57", "--k-list", "1,2"],
+     "--k-list"),
+])
+def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
+                                        message):
+    cfg = write_cfg(tmp_path, cfg_text)
+    model = ["--model", cfg] if argv[0] in ("solve", "spectrum", "report") else []
+    assert main([*argv, *model, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+_KINDS = [
+    ("uniform1d", {"n": 4, "ell": 3}), ("split1d", {"ell": 1}),
+    ("singleton", {}), ("trivial", {}),
+]
+
+
+@pytest.mark.parametrize("model, kind, params, expect", [
+    *[("chain1d", k, p, models.partition_families(k, N=100, **p))
+      for k, p in _KINDS],
+    *[("chain2d", k, p, models.partition_families(k, N=2500, **p))
+      for k, p in _KINDS],
+    ("chain2d", "stripes2d", {"s": 3}, models.stripes2d(50, 3)),
+    ("chain2d", "grid2d", {"s": 6}, models.grid2d(50, 6)),
+    *[("marek", k, p, models.partition_families(k, N=4, **p))
+      for k, p in _KINDS if k != "uniform1d"],
+])
+def test_partition_flag_and_config_agree(tmp_path, model, kind, params, expect):
+    keys = "".join(f"partition.{k} = {v}\n" for k, v in params.items())
+    from_cfg = write_cfg(tmp_path, f"model = {model}\npartition.kind = {kind}\n"
+                         + keys, "with.cfg")
+    # the flag replaces every partition key of the config
+    stale = write_cfg(tmp_path, f"model = {model}\npartition.kind = trivial\n"
+                      "partition.n = 9\n", "stale.cfg")
+    spec = ":".join([kind] + [",".join(f"{k}={v}" for k, v in params.items())])
+    parse = cli.make_parser().parse_args
+    *_, part_cfg = cli._load_model(parse(["solve", "--model", from_cfg]))
+    *_, part_flag = cli._load_model(
+        parse(["solve", "--model", stale, "--partition", spec]))
+    assert part_cfg.n == part_flag.n == expect.n
+    assert np.array_equal(part_cfg.assignment, expect.assignment)
+    assert np.array_equal(part_flag.assignment, expect.assignment)
+
+
+def test_partition_file(tmp_path, capsys):
+    path = tmp_path / "part.txt"
+    coarse.save_partition(path, models.split1d(100, 57))
+    *_, part = cli._load_model(cli.make_parser().parse_args(
+        ["report", "--partition", str(path)]))
+    assert np.array_equal(part.assignment, models.split1d(100, 57).assignment)
+    coarse.save_partition(path, models.split1d(4, 1))
+    assert main(["report", "--partition", str(path), "--out", str(tmp_path)]) == 1
+    assert "does not match partition" in capsys.readouterr().err
+
+
+_VALUES = {"--model": "m.cfg", "--partition": "trivial", "--tau": "1e-6",
+           "--max-outer": "5", "--out": "o", "--k-list": "2", "--alpha": "0",
+           "--max-n": "3"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", {"--model", "--partition", "--tau", "--max-outer", "--out"}),
+    ("spectrum", {"--model", "--max-n", "--out"}),
+    ("report", {"--model", "--partition", "--k-list", "--out"}),
+    ("shift-study", {"--alpha", "--max-n", "--out"}),
+    ("refine-study", {"--out"}),
+    ("tables", {"--alpha", "--k-list", "--max-n", "--out"}),
+])
+def test_each_command_takes_only_its_flags(capsys, command, flags):
+    parser = cli.make_parser()
+    for flag, value in _VALUES.items():
+        if flag in flags:
+            parser.parse_args([command, flag, value])
+        else:
+            assert main([command, flag, value]) == 1, flag
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iadrate import chain, coarse, models
+from iadrate.errors import PartitionError
 
 
 def test_double_well_shape():
@@ -190,6 +191,45 @@ def test_build_model_alpha_mixture():
     assert mua is None
     expect = 0.95 * P0.dense() + 0.05 * models.left_shift(100).dense()
     assert np.allclose(Pa.dense(), expect, atol=1e-14)
+
+
+def test_build_model_overrides_the_benchmark_spec():
+    P, mu, part = models.build_model({"model": "chain2d", "N": "6", "T": "0.5",
+                                      "move_set": "diagonal"})
+    spec = models.Chain2DSpec(potential=models.two_dim_potential, a=-1.7,
+                              b=1.7, c=-1.7, d=2.0, N=6, T=0.5,
+                              move_set="diagonal")
+    assert np.array_equal(mu.probs, models.boltzmann_2d(spec).probs)
+    assert np.array_equal(P.dense(), models.reversible_chain_2d(mu, spec).dense())
+    assert part is None
+
+
+@pytest.mark.parametrize("cfg, error, match", [
+    ({"model": "marek", "alpha": "0.5"}, ValueError, "'alpha'"),
+    ({"model": "chain1d", "c": "0"}, ValueError, "'c'"),
+    ({"model": "chain2d", "park_variant": "1"}, ValueError, "'park_variant'"),
+    ({"model": "chain1d", "alpha": "-0.1"}, ValueError, "alpha"),
+    ({"partition.kind": "grid2d", "partition.s": "2"}, PartitionError, "2D grid"),
+    ({"partition.kind": "split1d", "partition.el": "57"}, PartitionError,
+     r"unknown \['el'\], missing \['ell'\]"),
+    ({"partition.ell": "57"}, PartitionError, "without partition.kind"),
+    ({"partition.kind": "split1d", "partition.ell": "57", "partition.N": "100"},
+     PartitionError, "set by the model"),
+])
+def test_build_model_rejects(cfg, error, match):
+    with pytest.raises(error, match=match):
+        models.build_model(cfg)
+
+
+def test_shift_mixture_1d():
+    P0, mu0, _ = models.build_model({"model": "chain1d"})
+    P, mu = models.shift_mixture_1d(0.0)
+    assert np.array_equal(P.dense(), P0.dense())
+    assert np.array_equal(mu.probs, mu0.probs)
+    P, mu = models.shift_mixture_1d(0.15)
+    expect = models.mix(P0, models.left_shift(100), 0.15)
+    assert np.array_equal(P.dense(), expect.dense())
+    assert np.max(np.abs(P.mat @ mu.probs - mu.probs)) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)
