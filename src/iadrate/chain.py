@@ -175,8 +175,9 @@ def steady_state(P):
     component comes out to high relative accuracy. States go _GTH_BLOCK
     at a time. Within a block, each step first brings its own row and
     column up to date with the block's earlier steps, one product each,
-    and updates only the block's square; the leading block then takes
-    the whole block's deferred update as one matrix product.
+    and updates only the block's square in place; the states before the
+    block then take its deferred update as one matrix product. The first
+    block (all of a chain with n <= _GTH_BLOCK) has no states before it.
 
     A zero pivot (a closed class among the censored states) or a zero
     component (a transient state) raises ReducibleMatrixError; both are
@@ -187,16 +188,20 @@ def steady_state(P):
     for hi in range(n, 1, -_GTH_BLOCK):
         lo = max(hi - _GTH_BLOCK, 0)
         for k in range(hi - 1, max(lo, 1) - 1, -1):
-            A[k, :lo] += A[k, k + 1:hi] @ A[k + 1:hi, :lo]
-            A[:lo, k] += A[:lo, k + 1:hi] @ A[k + 1:hi, k]
-            s = A[k, :k].sum()
+            if lo:
+                A[k, :lo] += A[k, k + 1:hi] @ A[k + 1:hi, :lo]
+                A[:lo, k] += A[:lo, k + 1:hi] @ A[k + 1:hi, k]
+            row, col = A[k, :k], A[:k, k]
+            s = row.sum()
             if s <= 0.0:
                 raise ReducibleMatrixError(
                     f"steady_state: P is reducible (zero pivot at state {k})"
                 )
-            A[:k, k] /= s
-            A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
-        A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
+            col /= s
+            square = A[lo:k, lo:k]
+            square += col[lo:, None] * row[lo:]
+        if lo:
+            A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     pi = np.empty(n)
     pi[0] = 1.0
     for k in range(1, n):

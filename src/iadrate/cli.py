@@ -134,11 +134,11 @@ def _shift_study_rows(alphas, max_n):
     def run(job):
         n, a = job
         P, mu = per_alpha[a]
-        worst = 0.0
+        parts = {}
         for ell in range(0, P.n // n + 1):
             part = models.uniform1d(P.n, n, ell)
-            worst = max(worst, _rho_for(P, mu, part))
-        return n, a, worst
+            parts.setdefault(part.assignment.tobytes(), part)
+        return n, a, max(_rho_for(P, mu, part) for part in parts.values())
 
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         results = sorted(pool.map(run, jobs))

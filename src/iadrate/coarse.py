@@ -104,19 +104,27 @@ def disaggregate(z, nu, part):
     return z[c] * nu / anu[c]
 
 
-def coarse_matrix(P, nu, part):
+def coarse_pattern(P, part):
+    """(cols, keys, vals): for each nonzero P_ij, its column j, coarse key
+    a(i) n + a(j) and value; all C(nu) = A P D(nu) takes from P and part."""
+    if P.n != part.fine_n:
+        raise PartitionError("coarse_pattern: matrix size does not match partition")
+    a = part.assignment
+    rows, cols, vals = P.nonzeros()
+    return cols, a[rows] * part.n + a[cols], vals
+
+
+def coarse_matrix(P, nu, part, pattern=None):
     """The validated n x n coarse chain C(nu) = A P D(nu).
 
     C[a(i), a(j)] is the sum of P_ij nu_j / (A nu)_{a(j)} over the
     nonzeros P_ij, taken in one bincount; no N x n matrix is formed.
+    `pattern` is `coarse_pattern(P, part)`, built here when not given.
     """
-    if P.n != part.fine_n:
-        raise PartitionError("coarse_matrix: matrix size does not match partition")
-    a, n = part.assignment, part.n
-    rows, cols, vals = P.nonzeros()
-    weights = nu.probs / _stratum_mass(nu.probs, part)[a]
-    C = np.bincount(a[rows] * n + a[cols], weights=vals * weights[cols],
-                    minlength=n * n)
+    cols, keys, vals = coarse_pattern(P, part) if pattern is None else pattern
+    n = part.n
+    weights = nu.probs / _stratum_mass(nu.probs, part)[part.assignment]
+    C = np.bincount(keys, weights=vals * weights[cols], minlength=n * n)
     return validate(C.reshape(n, n))
 
 

@@ -10,7 +10,7 @@ drop below a relative tolerance.
 import numpy as np
 
 from .chain import ProbabilityVector, steady_state
-from .coarse import coarse_matrix, disaggregate
+from .coarse import coarse_matrix, coarse_pattern, disaggregate
 from .errors import NonConvergenceError
 
 from dataclasses import dataclass, field
@@ -38,11 +38,12 @@ class IadTrace:
     residuals: list = field(default_factory=list)
 
 
-def iad_step(P, part, mu_k):
-    """One coarse correction plus one smoothing application of P."""
+def iad_step(P, part, mu_k, pattern=None):
+    """One coarse correction plus one smoothing application of P;
+    `pattern` is coarse_pattern(P, part), which iad_solve builds once."""
     if np.any(mu_k.probs <= 0):
         raise ValueError("iad_step: iterate must be strictly positive")
-    C = coarse_matrix(P, mu_k, part)
+    C = coarse_matrix(P, mu_k, part, pattern)
     # a reducible coarse matrix raises, which is how the known
     # pathological aggregations surface
     z = steady_state(C)
@@ -62,10 +63,11 @@ def iad_solve(P, part, mu0, cfg=None):
         cfg = IadConfig()
     if np.any(mu0.probs <= 0):
         raise ValueError("iad_solve: mu0 must be strictly positive")
+    pattern = coarse_pattern(P, part)
     trace = IadTrace(iterates=[mu0])
     mu_old = mu0
     for _ in range(cfg.max_outer):
-        mu_new = iad_step(P, part, mu_old)
+        mu_new = iad_step(P, part, mu_old, pattern)
         change = np.max(np.abs(mu_new.probs - mu_old.probs) / mu_old.probs)
         smoothed = P.mat @ mu_new.probs
         resid = np.max(np.abs(smoothed - mu_new.probs) / smoothed)

@@ -342,6 +342,13 @@ def with_partition(cfg, text):
     return out
 
 
+def _parse(typ, key, val, where, error=ValueError):
+    try:
+        return typ(val)
+    except ValueError:
+        raise error(f"{where} {key!r}: expected {typ.__name__}, got {val!r}") from None
+
+
 def build_model(cfg):
     """Instantiate (P, mu_or_None, partition_or_None) from a config dict.
 
@@ -371,9 +378,10 @@ def build_model(cfg):
     if spec is None:
         P, part, _ = fixtures[kind]
     else:
-        alpha = float(cfg.pop("alpha", 0.0))
-        spec = replace(
-            spec, **{key: type(getattr(spec, key))(val) for key, val in cfg.items()})
+        where = f"build_model: model {kind!r} key"
+        alpha = _parse(float, "alpha", cfg.pop("alpha", 0.0), where)
+        spec = replace(spec, **{k: _parse(type(getattr(spec, k)), k, v, where)
+                                for k, v in cfg.items()})
         if kind == "chain1d":
             mu = boltzmann_1d(spec)
             P = reversible_chain_1d(mu)
@@ -392,5 +400,7 @@ def build_model(cfg):
         if pkind in _GRID_KINDS and side is None:
             raise PartitionError(f"partition {pkind!r} needs a model on a 2D grid")
         N = side if pkind in _GRID_KINDS else P.n
-        part = partition_families(pkind, N=N, **{k: int(v) for k, v in params.items()})
+        part = partition_families(pkind, N=N, **{
+            k: _parse(int, k, v, f"partition {pkind!r}: parameter", PartitionError)
+            for k, v in params.items()})
     return P, mu, part

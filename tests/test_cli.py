@@ -99,6 +99,22 @@ def test_shift_study_deterministic_and_monotone(tmp_path):
     assert alpha0[-1] == min(alpha0)
 
 
+def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatch):
+    # n = 1 gives the same trivial partition for all 101 shifts, n = 2
+    # gives 51 distinct ones: 52 evaluations, not 152
+    calls = []
+    error_operator = cli.diagnostics.error_operator
+
+    def counting(P, mu, part):
+        calls.append(part.assignment.tobytes())
+        return error_operator(P, mu, part)
+
+    monkeypatch.setattr(cli.diagnostics, "error_operator", counting)
+    assert main(["shift-study", "--alpha", "0", "--max-n", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == len(set(calls)) == 52
+
+
 def test_refine_study(tmp_path):
     assert main(["refine-study", "--out", str(tmp_path)]) == 0
     rows = [line.split(",") for line
@@ -188,6 +204,10 @@ def test_report_chain2d_trivial_partition(tmp_path):
     ("", ["tables", "--k-list="], "--k-list"),
     ("", ["report", "--partition", "split1d:ell=57", "--k-list", "1,2"],
      "--k-list"),
+    ("", ["solve", "--partition", "split1d:ell=x"],
+     "partition 'split1d': parameter 'ell'"),
+    ("N = abc\n", ["spectrum"], "key 'N'"),
+    ("alpha = x\n", ["spectrum"], "key 'alpha'"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):

@@ -215,6 +215,10 @@ def test_build_model_overrides_the_benchmark_spec():
     ({"partition.ell": "57"}, PartitionError, "without partition.kind"),
     ({"partition.kind": "split1d", "partition.ell": "57", "partition.N": "100"},
      PartitionError, "set by the model"),
+    ({"partition.kind": "split1d", "partition.ell": "x"}, PartitionError,
+     "partition 'split1d': parameter 'ell'"),
+    ({"model": "chain1d", "N": "abc"}, ValueError, "key 'N'"),
+    ({"model": "chain2d", "alpha": "x"}, ValueError, "key 'alpha'"),
 ])
 def test_build_model_rejects(cfg, error, match):
     with pytest.raises(error, match=match):
