@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import linalg
 from .errors import (
@@ -18,6 +17,7 @@ from .errors import (
 
 NEG_CLAMP = 1e-14
 COLSUM_TOL = 1e-12
+REVERSIBLE_TOL = 1e-10
 # States censored per block of the steady-state elimination.
 _GTH_BLOCK = 64
 
@@ -120,52 +120,6 @@ def validate(P):
     return StochasticMatrix(mat=P)
 
 
-def as_probability(v, tol=1e-12):
-    """Wrap a vector as a ProbabilityVector after checking its invariants."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("probability vector has negative entries")
-    if abs(v.sum() - 1.0) > tol:
-        raise ValueError(f"probability vector sums to {v.sum():.17g}")
-    return ProbabilityVector(probs=v)
-
-
-def is_irreducible(P):
-    """True iff the chain's directed transition graph is strongly connected."""
-    pattern = scipy.sparse.csr_matrix(P.mat > 0)
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        pattern, directed=True, connection="strong"
-    )
-    return ncomp == 1
-
-
-def is_ptp_irreducible(P):
-    """True iff the sparsity pattern of P^T P is connected.
-
-    Columns i and j are adjacent iff they share a nonzero row; the pattern
-    is never formed densely.
-    """
-    B = scipy.sparse.csc_matrix(P.mat > 0, dtype=bool)
-    G = (B.T @ B).tocsr()
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        G, directed=False
-    )
-    return ncomp == 1
-
-
-def ensure_contractive(P):
-    """Return P if P^T P is irreducible, else the lazy chain (I + P)/2."""
-    if not is_irreducible(P):
-        raise ReducibleMatrixError("ensure_contractive: P is reducible")
-    if is_ptp_irreducible(P):
-        return P
-    if scipy.sparse.issparse(P.mat):
-        eye = scipy.sparse.eye_array(P.n, format="csc")
-    else:
-        eye = np.eye(P.n)
-    return StochasticMatrix(mat=0.5 * (eye + P.mat))
-
-
 def steady_state(P):
     """Steady state by Grassmann-Taksar-Heyman state reduction.
 
@@ -229,9 +183,10 @@ def deviation(P, mu):
     return linalg.block_operator(P.n, lambda X: P.mat @ X - mc * X.sum(axis=0))
 
 
-def is_reversible(P, mu, tol=1e-10):
-    """Detailed balance check: P equals its own time reversal entrywise."""
-    return abs(time_reversal(P, mu).mat - P.mat).max() <= tol
+def is_reversible(P, mu):
+    """Detailed balance check: P equals its own time reversal entrywise,
+    to REVERSIBLE_TOL."""
+    return abs(time_reversal(P, mu).mat - P.mat).max() <= REVERSIBLE_TOL
 
 
 def pstar_p_spectrum(P, mu, k=None):
@@ -267,30 +222,7 @@ def pstar_p_spectrum(P, mu, k=None):
     return SpectralData(lambdas=lambdas, right_vectors=right, left_vectors=left)
 
 
-def save_matrix(path, P):
-    """Write a matrix in Matrix Market coordinate format."""
-    import scipy.io  # on use: a solve need not pay for its import
-
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(P.mat))
-
-
-def load_matrix(path, transpose=False):
-    """Read a Matrix Market file as a validated stochastic matrix.
-
-    Coordinate data stays sparse (CSC), array data dense.
-    transpose=True ingests row-stochastic data by transposing on load.
-    """
-    import scipy.io  # on use: a solve need not pay for its import
-
-    M = scipy.io.mmread(str(path))
-    return validate(M.T if transpose else M)
-
-
 def save_vector(path, mu):
     """Write a probability vector, one float per line."""
     np.savetxt(str(path), mu.probs, fmt="%.17g")
 
-
-def load_vector(path):
-    """Read a probability vector written one float per line."""
-    return as_probability(np.loadtxt(str(path), dtype=float))

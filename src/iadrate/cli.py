@@ -71,6 +71,7 @@ def cmd_solve(args):
     try:
         est, trace = iad.iad_solve(P, part, mu0, cfg)
     except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         est, trace = exc.trace.iterates[-1], exc.trace
         code = 2
     chain.save_vector(os.path.join(args.out, "mu.txt"), est)

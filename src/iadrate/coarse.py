@@ -84,15 +84,6 @@ def _stratum_mass(nu, part):
     return anu
 
 
-def disaggregation_matrix(nu, part):
-    """D(nu) as an N x n dense matrix; column i is nu conditioned on S_i."""
-    nu = np.asarray(nu, dtype=float)
-    anu = _stratum_mass(nu, part)
-    D = np.zeros((part.fine_n, part.n))
-    D[np.arange(part.fine_n), part.assignment] = nu / anu[part.assignment]
-    return D
-
-
 def disaggregate(z, nu, part):
     """Spread coarse masses z over fine states proportionally to nu."""
     z = np.asarray(z, dtype=float)

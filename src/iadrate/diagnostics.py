@@ -8,7 +8,6 @@ bound and an angle bound built from the dominant eigenvectors of P* P).
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .chain import (
@@ -25,6 +24,8 @@ from dataclasses import dataclass
 
 # Eigenvalues of K the exact formula maps back above linalg.ARPACK_MIN_N.
 _EXACT_FORMULA_K = 6
+# Eigenvalues of K below this times its largest modulus count as zero.
+_DROP_TOL = 1e-9
 
 
 @dataclass
@@ -69,13 +70,13 @@ def _projected_resolvent(Q, mu, part):
     return linalg.block_operator(Q.shape[0], apply)
 
 
-def rho_J_exact_formula(P, mu, part, drop_tol=1e-9):
+def rho_J_exact_formula(P, mu, part):
     """Spectrum of J(mu) from the projected resolvent.
 
     With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
     spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
     with 0 adjoined. Numerically-zero eigenvalues of the rank-deficient
-    K (modulus below drop_tol times K's largest) are discarded before
+    K (modulus below _DROP_TOL times K's largest) are discarded before
     the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
     above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
     of J nearest 1 (for a reversible chain, rho(J) among them).
@@ -83,7 +84,7 @@ def rho_J_exact_formula(P, mu, part, drop_tol=1e-9):
     K = _projected_resolvent(P.mat, mu, part)
     k = None if P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
     lam = linalg.leading_eigs(K, k).values
-    lam = lam[np.abs(lam) > drop_tol * np.abs(lam[0])]
+    lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam[0])]
     vals = 1.0 - 1.0 / lam
     return np.concatenate([vals, [0.0]])
 
@@ -199,21 +200,3 @@ def refinement_compare(P, coarse_part, refined_part, mu=None):
         )
     return float(rho_c), float(rho_r)
 
-
-def epsilon_norm(M, mu, part, eps):
-    """Operator norm of M in the epsilon-inner product
-    <x, y>_eps = <x, (I - Pi) y>_{1/mu} + eps <x, Pi y>_{1/mu}.
-
-    For small eps > 0 the error operator is a strict contraction in this
-    norm even when its l2(1/mu) norm exceeds one.
-    """
-    if eps <= 0:
-        raise ValueError("epsilon_norm: eps must be positive")
-    M = linalg.as_dense(M)
-    N = M.shape[0]
-    w = 1.0 / mu.probs
-    Pi = linalg.as_dense(orthogonal_projection(mu, part))
-    G = w[:, None] * (np.eye(N) - Pi + eps * Pi)
-    G = 0.5 * (G + G.T)  # symmetric up to roundoff by self-adjointness of Pi
-    vals = scipy.linalg.eigh(M.T @ G @ M, G, eigvals_only=True)
-    return float(np.sqrt(max(vals[-1], 0.0)))

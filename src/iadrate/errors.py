@@ -13,10 +13,6 @@ class SingularMatrixError(IadError):
     """A matrix required to be invertible is numerically singular."""
 
 
-class AmbiguousNullspaceError(IadError):
-    """The null space is not one-dimensional to working precision."""
-
-
 class NotSymmetricError(IadError):
     """A matrix required to be symmetric (or self-adjoint) is not."""
 

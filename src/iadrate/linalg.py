@@ -1,5 +1,4 @@
-"""Real linear algebra on arrays and matrix-free operators, with weighted
-inner products.
+"""Real linear algebra on arrays and matrix-free operators.
 
 Everything downstream measures vectors and operators in a weighted l2
 norm, so alongside the standard factorizations this module provides the
@@ -20,7 +19,6 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
-    AmbiguousNullspaceError,
     DimensionError,
     EigenConvergenceError,
     NotSymmetricError,
@@ -69,25 +67,6 @@ def as_dense(A):
     return np.asarray(A, dtype=float)
 
 
-def weighted_inner(x, y, w):
-    """Inner product sum_i x_i y_i w_i for a positive weight vector w."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != y.shape or x.shape != w.shape:
-        raise DimensionError(
-            f"weighted_inner: shapes {x.shape}, {y.shape}, {w.shape} differ"
-        )
-    if np.any(w <= 0):
-        raise ValueError("weighted_inner: weights must be strictly positive")
-    return float(np.sum(x * y * w))
-
-
-def weighted_norm(x, w):
-    """l2(w) norm of x."""
-    return np.sqrt(weighted_inner(x, x, w))
-
-
 def lu_solve(A, B):
     """Solve A X = B by LU with partial pivoting."""
     A = np.asarray(A, dtype=float)
@@ -105,30 +84,6 @@ def lu_solve(A, B):
     if np.min(np.abs(np.diag(lu))) < 1e-300:
         raise SingularMatrixError("lu_solve: zero pivot encountered")
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-
-
-def qr_null_vector(A):
-    """Unit vector spanning the null space of a rank N-1 square matrix.
-
-    Householder QR of A^T: the last column of the orthogonal factor is
-    orthogonal to every row of A^T's column space, i.e. lies in ker(A).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"qr_null_vector: A must be square, got {A.shape}")
-    n = A.shape[0]
-    if n == 1:
-        if abs(A[0, 0]) > 1e-10:
-            raise AmbiguousNullspaceError("qr_null_vector: 1x1 matrix has no null space")
-        return np.array([1.0])
-    scale = np.linalg.norm(A)
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    rdiag = np.sort(np.abs(np.diag(R)))
-    if rdiag[1] < 1e-10 * max(scale, 1e-300):
-        raise AmbiguousNullspaceError(
-            "qr_null_vector: at least two negligible R diagonals; nullity > 1"
-        )
-    return Q[:, -1]
 
 
 def _symmetrized(S, tol):
@@ -226,9 +181,8 @@ def _arpack_eigs(A, k, symmetric, vectors):
 
 
 def spectral_radius_symmetric_psd(S, w):
-    """Largest eigenvalue of an operator (array or LinearOperator)
-    self-adjoint in l2(w), from the symmetric similarity
-    diag(sqrt(w)) S diag(1/sqrt(w))."""
+    """Largest eigenvalue of a LinearOperator self-adjoint in l2(w), from
+    the symmetric similarity diag(sqrt(w)) S diag(1/sqrt(w))."""
     w = np.asarray(w, dtype=float)
     if len(S.shape) != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError("spectral_radius_symmetric_psd: S must be square")
@@ -236,10 +190,7 @@ def spectral_radius_symmetric_psd(S, w):
     if w.shape != (n,):
         raise DimensionError("spectral_radius_symmetric_psd: weight length mismatch")
     sw = np.sqrt(w)[:, None]
-    if isinstance(S, LinearOperator):
-        T = block_operator(n, lambda X: sw * (S @ (X / sw)))
-    else:
-        T = (sw * np.asarray(S, dtype=float)) / sw.T
+    T = block_operator(n, lambda X: sw * (S @ (X / sw)))
     return float(leading_eigs(T, 1, symmetric=True).values[0])
 
 
@@ -272,13 +223,3 @@ def resolvent(Q, m):
 
     return block_operator(n, apply)
 
-
-def weighted_operator_norm(M, w):
-    """Operator norm of M (an array or a LinearOperator) on l2(w), via the
-    self-adjoint composition M* M."""
-    M = as_dense(M)
-    w = np.asarray(w, dtype=float)
-    # adjoint in l2(w): M* = diag(1/w) M^T diag(w)
-    MsM = (M.T * w[None, :]) @ M / w[:, None]
-    val = spectral_radius_symmetric_psd(MsM, w)
-    return float(np.sqrt(max(val, 0.0)))

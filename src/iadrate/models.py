@@ -71,10 +71,10 @@ def benchmark_chain_1d_spec():
     return Chain1DSpec(potential=double_well_potential, a=-1.7, b=1.55, N=100, T=0.1)
 
 
-def benchmark_chain_2d_spec(move_set="axis_aligned"):
+def benchmark_chain_2d_spec():
     """Parameters of the standard 2D experiment."""
     return Chain2DSpec(potential=two_dim_potential, a=-1.7, b=1.7, c=-1.7, d=2.0,
-                       N=50, T=0.25, move_set=move_set)
+                       N=50, T=0.25)
 
 
 def boltzmann_1d(spec):

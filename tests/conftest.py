@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iadrate import chain, models
+from iadrate import chain, coarse, models
 from iadrate.coarse import make_partition
 
 
@@ -55,3 +55,31 @@ def random_partition(rng, N, n):
     assignment[:n] = np.arange(n)  # no empty stratum
     rng.shuffle(assignment)
     return make_partition(assignment, n)
+
+
+def qr_null_vector(A):
+    """Unit vector spanning the null space of a rank N-1 square matrix.
+
+    Householder QR of A^T: the last column of the orthogonal factor is
+    orthogonal to every row of A^T's column space, i.e. lies in ker(A).
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if n == 1:
+        if abs(A[0, 0]) > 1e-10:
+            raise ValueError("qr_null_vector: 1x1 matrix has no null space")
+        return np.array([1.0])
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    rdiag = np.sort(np.abs(np.diag(R)))
+    if rdiag[1] < 1e-10 * max(np.linalg.norm(A), 1e-300):
+        raise ValueError("qr_null_vector: nullity > 1")
+    return Q[:, -1]
+
+
+def disaggregation_matrix(nu, part):
+    """D(nu) as an N x n dense matrix; column i is nu conditioned on S_i."""
+    nu = np.asarray(nu, dtype=float)
+    D = np.zeros((part.fine_n, part.n))
+    anu = coarse.aggregate(nu, part)
+    D[np.arange(part.fine_n), part.assignment] = nu / anu[part.assignment]
+    return D

@@ -4,7 +4,12 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, random_partition, random_reversible_chain
+from conftest import (
+    disaggregation_matrix,
+    random_chain,
+    random_partition,
+    random_reversible_chain,
+)
 from iadrate import chain, coarse, iad, models
 from iadrate.errors import PartitionError, ZeroMassStratumError
 
@@ -44,7 +49,7 @@ def test_aggregation_of_disaggregation_is_identity():
     part = random_partition(rng, 9, 3)
     nu = rng.random(9) + 0.1
     A = coarse.aggregation_matrix(part)
-    D = coarse.disaggregation_matrix(nu, part)
+    D = disaggregation_matrix(nu, part)
     assert np.allclose(A @ D, np.eye(3), atol=1e-14)
 
 
@@ -156,7 +161,7 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
     nu = rng.random(P.n) + 0.01
     nu = chain.ProbabilityVector(probs=nu / nu.sum())
     oracle = (coarse.aggregation_matrix(part) @ P.dense()
-              @ coarse.disaggregation_matrix(nu.probs, part))
+              @ disaggregation_matrix(nu.probs, part))
     dense = chain.StochasticMatrix(mat=P.dense())
     csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
     for Q in (dense, csc):

@@ -181,17 +181,6 @@ def test_refinement_compare(bench_1d):
         diagnostics.refinement_compare(P, refined, coarse_part, mu=mu)
 
 
-def test_epsilon_norm_contraction(bench_1d):
-    # the error operator contracts in the epsilon-norm even though its
-    # plain weighted norm exceeds one
-    P, mu = bench_1d
-    part = models.split1d(100, 57)
-    J = diagnostics.error_operator(P, mu, part)
-    from iadrate.linalg import weighted_operator_norm
-    assert weighted_operator_norm(J, 1.0 / mu.probs) > 1.0 - 1e-6
-    assert diagnostics.epsilon_norm(J, mu, part, 1e-6) < 1.0
-
-
 def test_reversible_exact_formula_nonnegative_real(bench_1d):
     P, mu = bench_1d
     part = models.uniform1d(100, 5, 0)

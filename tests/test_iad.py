@@ -6,10 +6,14 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, random_partition, random_reversible_chain
+from conftest import (
+    qr_null_vector,
+    random_chain,
+    random_partition,
+    random_reversible_chain,
+)
 from iadrate import chain, coarse, iad, models
 from iadrate.errors import NonConvergenceError, ReducibleMatrixError
-from iadrate.linalg import general_eigenvalues, qr_null_vector
 
 
 def uniform_pv(n):

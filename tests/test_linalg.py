@@ -1,25 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_chain
+from conftest import qr_null_vector, random_chain
 from iadrate import chain, linalg, models
 from iadrate.errors import (
-    AmbiguousNullspaceError,
     EigenConvergenceError,
     NotSymmetricError,
     SingularMatrixError,
 )
-
-
-def test_weighted_inner_basic():
-    x = np.array([1.0, 2.0])
-    y = np.array([3.0, 4.0])
-    w = np.array([2.0, 0.5])
-    assert linalg.weighted_inner(x, y, w) == pytest.approx(3.0 * 2.0 + 8.0 * 0.5)
-    assert linalg.weighted_norm(x, w) == pytest.approx(np.sqrt(2.0 + 2.0))
 
 
 def test_lu_solve_matches_numpy():
@@ -37,16 +26,17 @@ def test_lu_solve_singular_raises():
 
 
 def test_qr_null_vector():
-    # rank-2 matrix on R^3 with known kernel direction (1,1,1)
+    # the steady-state tests' oracle, on a rank-2 matrix on R^3 with
+    # known kernel direction (1,1,1)
     A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
-    v = linalg.qr_null_vector(A)
+    v = qr_null_vector(A)
     assert np.linalg.norm(A @ v) < 1e-12
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_qr_null_vector_ambiguous():
-    with pytest.raises(AmbiguousNullspaceError):
-        linalg.qr_null_vector(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        qr_null_vector(np.zeros((3, 3)))
 
 
 def test_sym_eigs_descending_and_orthonormal():
@@ -70,18 +60,6 @@ def test_general_eigenvalues_modulus_sorted():
     assert np.allclose(np.abs(ev), [3.0, 2.0, 1.0])
 
 
-def test_weighted_operator_norm_identity():
-    w = np.array([0.2, 0.5, 0.3])
-    assert linalg.weighted_operator_norm(np.eye(3), w) == pytest.approx(1.0)
-
-
-def test_weighted_operator_norm_diagonal():
-    # diagonal operators have weighted norm max |d_i| in any diagonal weight
-    w = np.array([0.1, 0.6, 0.3])
-    M = np.diag([0.5, -2.0, 1.0])
-    assert linalg.weighted_operator_norm(M, w) == pytest.approx(2.0)
-
-
 def test_spectral_radius_psd_matches_dense():
     # operators of the form diag(1/w) S with S symmetric PSD are
     # self-adjoint and PSD in l2(w); their radius is the top eigenvalue
@@ -93,32 +71,8 @@ def test_spectral_radius_psd_matches_dense():
     M = S / w[:, None]
     sw = np.sqrt(w)
     expect = np.linalg.eigvalsh(S / np.outer(sw, sw)).max()
-    assert linalg.spectral_radius_symmetric_psd(M, w) == pytest.approx(expect)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 10_000))
-def test_norm_duality(n, seed):
-    # ||M||_{1/w} == ||M^T||_w for any M and positive weight w
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n))
-    w = rng.random(n) + 0.05
-    a = linalg.weighted_operator_norm(M, 1.0 / w)
-    b = linalg.weighted_operator_norm(M.T, w)
-    assert a == pytest.approx(b, rel=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 10_000))
-def test_weighted_norm_consistency(n, seed):
-    # ||Mx||_w <= ||M||_w ||x||_w
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n))
-    x = rng.standard_normal(n)
-    w = rng.random(n) + 0.05
-    lhs = linalg.weighted_norm(M @ x, w)
-    rhs = linalg.weighted_operator_norm(M, w) * linalg.weighted_norm(x, w)
-    assert lhs <= rhs * (1 + 1e-9) + 1e-12
+    op = linalg.block_operator(20, lambda X: M @ X)
+    assert linalg.spectral_radius_symmetric_psd(op, w) == pytest.approx(expect)
 
 
 def _diagonal_operator(d):
