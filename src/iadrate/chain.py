@@ -78,11 +78,10 @@ class ProbabilityVector:
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendecomposition of P* P: lambdas descending, right vectors
-    orthonormal in l2(1/mu), left vectors diag(1/mu) times right."""
+    orthonormal in l2(1/mu)."""
 
     lambdas: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
 
 
 def validate(P):
@@ -218,8 +217,7 @@ def pstar_p_spectrum(P, mu, k=None):
     right = right * signs[None, :]
     lambdas[0] = 1.0
     right[:, 0] = m
-    left = right / m[:, None]
-    return SpectralData(lambdas=lambdas, right_vectors=right, left_vectors=left)
+    return SpectralData(lambdas=lambdas, right_vectors=right)
 
 
 def save_vector(path, mu):

@@ -3,27 +3,20 @@
 Builds the example chains, runs the aggregation/disaggregation solver,
 and regenerates the reference tables and figure curves as CSV. All
 numeric output is deterministic: floats are printed with 6 decimals and
-the -log10(1 - x) digit counts with 2, and sweeps are sorted before
-writing, so reruns are byte-identical.
+the -log10(1 - x) digit counts with 2, and sweeps run serially in a
+fixed order (fig2 rows by n, then by alpha ascending), so reruns are
+byte-identical.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import chain, coarse, diagnostics, iad, models
 from .errors import IadError, NonConvergenceError
-
-
-def _workers():
-    env = os.environ.get("IAD_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _fmt(x):
@@ -129,21 +122,18 @@ def _rho_for(P, mu, part):
 
 def _shift_study_rows(alphas, max_n):
     """max over ell of rho(J) for uniform n-strata partitions, per (n, alpha)."""
-    per_alpha = {a: models.shift_mixture_1d(a) for a in alphas}
-    jobs = [(n, a) for n in range(1, max_n + 1) for a in alphas]
-
-    def run(job):
-        n, a = job
-        P, mu = per_alpha[a]
-        parts = {}
-        for ell in range(0, P.n // n + 1):
-            part = models.uniform1d(P.n, n, ell)
-            parts.setdefault(part.assignment.tobytes(), part)
-        return n, a, max(_rho_for(P, mu, part) for part in parts.values())
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = sorted(pool.map(run, jobs))
-    return [[str(n), _fmt(a), _fmt(r), _neglog(r)] for n, a, r in results]
+    alphas = sorted(alphas)
+    per_alpha = [(a, *models.shift_mixture_1d(a)) for a in alphas]
+    rows = []
+    for n in range(1, max_n + 1):
+        for a, P, mu in per_alpha:
+            parts = {}
+            for ell in range(0, P.n // n + 1):
+                part = models.uniform1d(P.n, n, ell)
+                parts.setdefault(part.assignment.tobytes(), part)
+            r = max(_rho_for(P, mu, part) for part in parts.values())
+            rows.append([str(n), _fmt(a), _fmt(r), _neglog(r)])
+    return rows
 
 
 def cmd_shift_study(args):
@@ -160,19 +150,16 @@ def _split_sweep_rows(alpha, k):
     N = P.n
     rev = chain.is_reversible(P, mu)
     sd = chain.pstar_p_spectrum(P, mu, k + 1)
-
-    def run(ell):
+    rows = []
+    for ell in range(0, N - 1):
         part = models.split1d(N, ell)
         rho = _rho_for(P, mu, part)
         nb = diagnostics.norm_bound(P, mu, part)
         s = diagnostics.sin_theta(P, mu, part, k, sd=sd)
         ab = diagnostics.angle_bound(sd.lambdas, s * s, k, rev)
-        return ell, rho, nb, ab
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = sorted(pool.map(run, range(0, N - 1)))
-    return [[str(ell), _fmt(r), _neglog(r), _fmt(nb), _neglog(nb),
-             _fmt(ab), _neglog(ab)] for ell, r, nb, ab in results]
+        rows.append([str(ell), _fmt(rho), _neglog(rho), _fmt(nb), _neglog(nb),
+                     _fmt(ab), _neglog(ab)])
+    return rows
 
 
 _SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
@@ -198,6 +185,9 @@ def cmd_refine_study(args):
 
 
 def cmd_tables(args):
+    if len(args.alpha) != 3:
+        raise ValueError(f"--alpha: tables needs three values, one for each "
+                         f"of figures 3-5, got {len(args.alpha)}")
     os.makedirs(args.out, exist_ok=True)
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain
@@ -252,8 +242,17 @@ def cmd_tables(args):
     return 0
 
 
-def _float_list(text):
-    return [float(s) for s in text.split(",") if s]
+def _alpha_list(text):
+    try:
+        # + 0.0 turns -0 into 0, which then prints without its sign
+        alphas = [float(s) + 0.0 for s in text.split(",") if s]
+    except ValueError:
+        alphas = []
+    if (not alphas or len(set(alphas)) < len(alphas)
+            or not all(0.0 <= a <= 1.0 for a in alphas)):
+        raise argparse.ArgumentTypeError(
+            f"need a nonempty list of distinct alphas in [0, 1], got {text!r}")
+    return alphas
 
 
 def _k_list(text):
@@ -276,7 +275,7 @@ _FLAGS = {
     "tau": dict(type=float, default=1e-9),
     "max-outer": dict(type=int, default=10000),
     "k-list": dict(type=_k_list, default=[2, 3]),
-    "alpha": dict(type=_float_list, default=[0.0, 0.05, 0.15]),
+    "alpha": dict(type=_alpha_list, default=[0.0, 0.05, 0.15]),
     "max-n": dict(type=_max_n, default=20),
     "out": dict(default="."),
 }

@@ -9,11 +9,9 @@ whether their eigenvalues come from LAPACK on the materialized matrix or
 from ARPACK on the operator.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
@@ -68,7 +66,9 @@ def as_dense(A):
 
 
 def lu_solve(A, B):
-    """Solve A X = B by LU with partial pivoting."""
+    """Solve A X = B by LU with partial pivoting, in numpy's LAPACK like
+    every other dense solve here. An exactly zero pivot, or one so small
+    that the solution overflows, raises SingularMatrixError."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -77,13 +77,13 @@ def lu_solve(A, B):
         raise DimensionError(
             f"lu_solve: B has {B.shape[0]} rows, expected {A.shape[0]}"
         )
-    with warnings.catch_warnings():
-        # a zero pivot is reported through SingularMatrixError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
-        raise SingularMatrixError("lu_solve: zero pivot encountered")
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    try:
+        X = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"lu_solve: {exc}") from exc
+    if not np.all(np.isfinite(X)):
+        raise SingularMatrixError("lu_solve: solution is not finite")
+    return X
 
 
 def _symmetrized(S, tol):

@@ -101,6 +101,13 @@ def test_shift_study_deterministic_and_monotone(tmp_path):
     assert alpha0[-1] == min(alpha0)
 
 
+def test_shift_study_prints_negative_zero_alpha_as_zero(tmp_path):
+    assert main(["shift-study", "--alpha=-0", "--max-n", "1",
+                 "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "fig2.csv").read_text().splitlines()[1]
+    assert row.split(",")[1] == "0.000000"
+
+
 def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatch):
     # n = 1 gives the same trivial partition for all 101 shifts, n = 2
     # gives 51 distinct ones: 52 evaluations, not 152
@@ -123,13 +130,6 @@ def test_refine_study(tmp_path):
             in (tmp_path / "refine.csv").read_text().splitlines()[1:]]
     rhos = [float(r[1]) for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(rhos, rhos[1:]))
-
-
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("IAD_THREADS", "1")
-    assert main(["shift-study", "--out", str(tmp_path), "--max-n", "3",
-                 "--alpha", "0"]) == 0
-    assert (tmp_path / "fig2.csv").exists()
 
 
 def test_usage_error_exit_1():
@@ -210,6 +210,13 @@ def test_report_chain2d_trivial_partition(tmp_path):
      "partition 'split1d': parameter 'ell'"),
     ("N = abc\n", ["spectrum"], "key 'N'"),
     ("alpha = x\n", ["spectrum"], "key 'alpha'"),
+    ("", ["shift-study", "--alpha", ""], "--alpha"),
+    ("", ["shift-study", "--alpha", "0,,0"], "--alpha"),
+    ("", ["shift-study", "--alpha", "0,nan"], "--alpha"),
+    ("", ["shift-study", "--alpha", "0,-0.1"], "--alpha"),
+    ("", ["tables", "--alpha", "0,0.05,2"], "--alpha"),
+    ("", ["tables", "--alpha", "0"], "tables needs three values"),
+    ("", ["tables", "--alpha", "0,0.05,0.15,0.3"], "tables needs three values"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):

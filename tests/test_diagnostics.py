@@ -1,14 +1,19 @@
+import csv
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain, random_partition, random_reversible_chain
 from iadrate import chain, coarse, diagnostics, linalg, models
 from iadrate.errors import IadError, ReducibleMatrixError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def sorted_by_modulus(vals):
@@ -125,7 +130,7 @@ def test_projection_pair_invariants(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
     sd = chain.pstar_p_spectrum(P, mu, 3)
-    Q_k = sd.right_vectors @ sd.left_vectors.T
+    Q_k = sd.right_vectors @ (sd.right_vectors / mu.probs[:, None]).T
     w = 1.0 / mu.probs
     # Pi is also covered by acceptance criterion 7
     for M in (coarse.orthogonal_projection(mu, part) @ np.eye(100), Q_k):
@@ -306,3 +311,29 @@ def test_full_report_at_ten_thousand_states_stays_matrix_free(monkeypatch):
     assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
     for _, bound in rep.angle_bounds.values():
         assert bound >= rep.rho_J
+
+
+@pytest.mark.parametrize("alpha, fig", [(0.0, "fig3"), (0.05, "fig4")])
+def test_split_sweep_uses_no_scipy_linalg(monkeypatch, alpha, fig):
+    # every dense solve and eigensolve goes through numpy's LAPACK: a
+    # second BLAS thread pool interleaved with numpy's made the sweeps
+    # slower on two threads than on one
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense scipy.linalg call")
+
+    for name in ("lu_factor", "lu_solve", "solve", "eig", "eigvals", "eigh",
+                 "eigvalsh", "inv"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    P, mu = models.shift_mixture_1d(alpha)
+    part = models.split1d(P.n, 57)
+    sd = chain.pstar_p_spectrum(P, mu, 3)
+    rho = diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))
+    nb = diagnostics.norm_bound(P, mu, part)
+    s = diagnostics.sin_theta(P, mu, part, 2, sd=sd)
+    ab = diagnostics.angle_bound(sd.lambdas, s * s, 2,
+                                 chain.is_reversible(P, mu))
+    with open(REFERENCE / f"{fig}.csv", newline="") as fh:
+        ref = next(row for row in csv.DictReader(fh) if row["ell"] == "57")
+    assert f"{rho:.6f}" == ref["rho"]
+    assert f"{nb:.6f}" == ref["norm_bound"]
+    assert f"{ab:.6f}" == ref["angle_bound"]

@@ -25,6 +25,12 @@ def test_lu_solve_singular_raises():
         linalg.lu_solve(A, np.eye(2))
 
 
+def test_lu_solve_tiny_pivot_raises():
+    # a nonzero pivot so small that the solution overflows
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_solve(np.diag([1e-310, 1.0]), np.ones((2, 1)))
+
+
 def test_qr_null_vector():
     # the steady-state tests' oracle, on a rank-2 matrix on R^3 with
     # known kernel direction (1,1,1)
