@@ -195,7 +195,8 @@ def pstar_p_spectrum(P, mu, k=None):
     The similarity M = diag(1/sqrt(mu)) P diag(sqrt(mu)) makes M^T M plain
     symmetric; it is applied as two products with P, and eigenvectors map
     back through diag(sqrt(mu)). The leading pair is replaced by the
-    analytic (mu, ones).
+    analytic (mu, ones). P* P is positive semidefinite, so eigenvalues
+    that roundoff leaves slightly negative are clamped to 0.
     """
     m = mu.probs
     if np.any(m <= 0):
@@ -204,7 +205,7 @@ def pstar_p_spectrum(P, mu, k=None):
     MtM = linalg.block_operator(
         P.n, lambda X: smc * (P.mat.T @ ((P.mat @ (smc * X)) / mc)))
     pairs = linalg.leading_eigs(MtM, k, symmetric=True, vectors=True)
-    lambdas = pairs.values.copy()
+    lambdas = np.maximum(pairs.values, 0.0)
     if abs(lambdas[0] - 1.0) > 1e-8:
         raise InconsistentSteadyStateError(
             f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1"

@@ -88,7 +88,7 @@ def cmd_spectrum(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for k in range(min(P.n, args.max_n)):
-        s = np.sqrt(max(sd.lambdas[k], 0.0))
+        s = np.sqrt(sd.lambdas[k])
         rows.append([str(k + 1), _fmt(s), _neglog(s)])
     _write_csv(os.path.join(args.out, "spectrum.csv"),
                "k,sqrt_lambda,neglog10", rows)
@@ -99,25 +99,26 @@ def cmd_report(args):
     _, P, mu, part = _load_model(args)
     rep = diagnostics.full_report(P, part, k_list=args.k_list, mu=mu)
     os.makedirs(args.out, exist_ok=True)
-    payload = {
-        "rho_J": rep.rho_J,
-        "rho_exact_formula": rep.rho_exact_formula,
-        "norm_bound": rep.norm_bound,
-        "sqrt_lambda2": rep.sqrt_lambda2,
-        "rho_hatP": rep.rho_hatP,
-        "reversible": rep.reversible,
-    }
+    payload = {k: v for k, v in vars(rep).items() if k != "angle_bounds"}
     for k, (s2, bound) in sorted(rep.angle_bounds.items()):
         payload[f"sin2theta_k{k}"] = s2
         payload[f"angle_bound_k{k}"] = bound
+    # JSON has no NaN or infinity: an undefined value is written as null
+    payload = {k: v if np.isfinite(v) else None for k, v in payload.items()}
     with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return 0
 
 
 def _rho_for(P, mu, part):
     return diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))
+
+
+def _check_max_n(max_n):
+    N = models.benchmark_chain_1d_spec().N
+    if max_n > N:
+        raise ValueError(f"--max-n: the 1D chain has {N} states, got {max_n}")
 
 
 def _shift_study_rows(alphas, max_n):
@@ -137,6 +138,7 @@ def _shift_study_rows(alphas, max_n):
 
 
 def cmd_shift_study(args):
+    _check_max_n(args.max_n)
     os.makedirs(args.out, exist_ok=True)
     rows = _shift_study_rows(args.alpha, args.max_n)
     _write_csv(os.path.join(args.out, "fig2.csv"),
@@ -188,6 +190,7 @@ def cmd_tables(args):
     if len(args.alpha) != 3:
         raise ValueError(f"--alpha: tables needs three values, one for each "
                          f"of figures 3-5, got {len(args.alpha)}")
+    _check_max_n(args.max_n)
     os.makedirs(args.out, exist_ok=True)
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain

@@ -54,13 +54,6 @@ def trivial_partition(N):
     return make_partition(np.zeros(N, dtype=int), 1)
 
 
-def aggregation_matrix(part):
-    """The 0/1 aggregation operator as an n x N dense matrix."""
-    A = np.zeros((part.n, part.fine_n))
-    A[part.assignment, np.arange(part.fine_n)] = 1.0
-    return A
-
-
 def aggregate(nu, part):
     """Sum the mass of nu over each coarse state; an (N, m) block is
     summed column by column, in the same single bincount."""
@@ -75,46 +68,47 @@ def aggregate(nu, part):
     return out.reshape(part.n, m)
 
 
-def _stratum_mass(nu, part):
-    """A nu, checked strictly positive: the denominators of D(nu)."""
+def _weights(nu, part):
+    """D(nu)'s entries nu_j / (A nu)_{a(j)}; a massless stratum raises."""
     anu = aggregate(nu, part)
     if (anu <= 0).any():
         i = int(np.argmax(anu <= 0))
         raise ZeroMassStratumError(f"coarse state {i} has nonpositive mass")
-    return anu
+    return nu / anu[part.assignment]
 
 
 def disaggregate(z, nu, part):
     """Spread coarse masses z over fine states proportionally to nu."""
     z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     if z.shape[0] != part.n:
         raise PartitionError("disaggregate: coarse vector length mismatch")
-    anu = _stratum_mass(nu, part)
-    c = part.assignment
-    return z[c] * nu / anu[c]
+    return z[part.assignment] * _weights(np.asarray(nu, dtype=float), part)
 
 
 def coarse_pattern(P, part):
-    """(cols, keys, vals): for each nonzero P_ij, its column j, coarse key
-    a(i) n + a(j) and value; all C(nu) = A P D(nu) takes from P and part."""
+    """(cols, keys, vals): the nonzeros of the n x N matrix A P, each with
+    its column j, coarse key a(i) n + a(j) and value, summed by one
+    bincount over the nonzeros of P; all C(nu) and S(nu) take from P."""
     if P.n != part.fine_n:
         raise PartitionError("coarse_pattern: matrix size does not match partition")
-    a = part.assignment
+    N, a, n = P.n, part.assignment, part.n
     rows, cols, vals = P.nonzeros()
-    return cols, a[rows] * part.n + a[cols], vals
+    AP = np.bincount(a[rows] * N + cols, weights=vals, minlength=n * N)
+    idx = np.flatnonzero(AP)
+    rows, cols = np.divmod(idx, N)
+    return cols, rows * n + a[cols], AP[idx]
 
 
 def coarse_matrix(P, nu, part, pattern=None):
     """The validated n x n coarse chain C(nu) = A P D(nu).
 
-    C[a(i), a(j)] is the sum of P_ij nu_j / (A nu)_{a(j)} over the
-    nonzeros P_ij, taken in one bincount; no N x n matrix is formed.
+    C[i, a(j)] is the sum of (A P)_ij nu_j / (A nu)_{a(j)} over the
+    nonzeros of A P, taken in one bincount; no N x n matrix is formed.
     `pattern` is `coarse_pattern(P, part)`, built here when not given.
     """
     cols, keys, vals = coarse_pattern(P, part) if pattern is None else pattern
     n = part.n
-    weights = nu.probs / _stratum_mass(nu.probs, part)[part.assignment]
+    weights = _weights(nu.probs, part)
     C = np.bincount(keys, weights=vals * weights[cols], minlength=n * n)
     return validate(C.reshape(n, n))
 
@@ -130,8 +124,7 @@ def _positive(nu, who):
 def orthogonal_projection(nu, part):
     """Pi(nu) = D(nu) A, the l2(1/nu)-orthogonal projection on rg(D), as a
     LinearOperator: aggregate, then spread in the proportions of nu."""
-    nu = _positive(nu, "orthogonal_projection")
-    w = (nu / _stratum_mass(nu, part)[part.assignment])[:, None]
+    w = _weights(_positive(nu, "orthogonal_projection"), part)[:, None]
     return linalg.block_operator(
         part.fine_n, lambda X: w * aggregate(X, part)[part.assignment])
 
@@ -141,21 +134,20 @@ def coarse_projection(P, mu, nu, part):
     as a LinearOperator.
 
     S(nu) = D(nu) [B D(nu)]^{-1} B with the n x N matrix
-    B = A (I - P + mu 1^T), whose A P part is one bincount over the
-    nonzeros of P; no N x N matrix is formed. The inner n x n matrix is
-    taken from the same B: S is then idempotent to roundoff, which an
-    inner matrix built separately (I - C(nu) + (A mu) 1^T) is not when
-    the coarse chain is nearly decomposable.
+    B = A - A P + (A mu) 1^T, scattered from coarse_pattern; no N x N
+    matrix is formed. The inner n x n matrix is taken from the same B:
+    S is then idempotent to roundoff, which an inner matrix built
+    separately (I - C(nu) + (A mu) 1^T) is not when the coarse chain is
+    nearly decomposable.
     """
-    if P.n != part.fine_n:
-        raise PartitionError("coarse_projection: matrix size does not match partition")
     nu = _positive(nu, "coarse_projection")
     N, a, n = P.n, part.assignment, part.n
-    rows, cols, vals = P.nonzeros()
-    AP = np.bincount(a[rows] * N + cols, weights=vals, minlength=n * N)
-    B = (aggregation_matrix(part) - AP.reshape(n, N)
-         + np.outer(aggregate(mu.probs, part), np.ones(N)))
-    w = nu / _stratum_mass(nu, part)[a]
+    cols, keys, vals = coarse_pattern(P, part)
+    B = np.zeros((n, N))
+    B[keys // n, cols] = -vals
+    B[a, np.arange(N)] += 1.0
+    B += aggregate(mu.probs, part)[:, None]
+    w = _weights(nu, part)
     # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
     # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
     F = linalg.lu_solve(aggregate((B * w).T, part).T, B)

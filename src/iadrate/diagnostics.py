@@ -90,10 +90,12 @@ def rho_J_exact_formula(P, mu, part):
 
 
 def norm_bound(P, mu, part):
-    """Norm upper bound on rho(J).
+    """Norm bound on rho(J).
 
-    Reversible case: 1 - 1/||(I-Pi)(I-P_hat)^{-1}(I-Pi)||_{1/mu}, which
-    equals rho(J) exactly. General case: the same construction with
+    Reversible case: 1 - 1/||(I-Pi)(I-P_hat)^{-1}(I-Pi)||_{1/mu}, the
+    largest eigenvalue of J; it equals rho(J) when that eigenvalue has
+    the largest modulus, but not on reducible_coarse, where J has the
+    spectrum {0, 0, -1/3}. General case: the same construction with
     P_hat* P_hat = P* P - mu 1^T inside the resolvent bounds rho^2, so the
     square root is returned.
     """
@@ -156,7 +158,7 @@ def full_report(P, part, k_list=(2,), mu=None):
         mu = steady_state(P)
     rev = is_reversible(P, mu)
     sd = pstar_p_spectrum(P, mu, min(max(k_list, default=1) + 1, P.n))
-    sqrt_l2 = float(np.sqrt(max(sd.lambdas[1], 0.0)))
+    sqrt_l2 = float(np.sqrt(sd.lambdas[1]))
     rho_hat = rho_hatP(P, mu)
     rho = rho_J_direct(error_operator(P, mu, part))
     exact = rho_J_exact_formula(P, mu, part)

@@ -76,6 +76,13 @@ def qr_null_vector(A):
     return Q[:, -1]
 
 
+def aggregation_matrix(part):
+    """The 0/1 aggregation operator A as an n x N dense matrix."""
+    A = np.zeros((part.n, part.fine_n))
+    A[part.assignment, np.arange(part.fine_n)] = 1.0
+    return A
+
+
 def disaggregation_matrix(nu, part):
     """D(nu) as an N x n dense matrix; column i is nu conditioned on S_i."""
     nu = np.asarray(nu, dtype=float)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    aggregation_matrix,
     disaggregation_matrix,
     random_chain,
     random_partition,
@@ -139,7 +140,7 @@ def test_criterion_07_operator_identities():
         mu = chain.steady_state(P)
         N = P.n
         I = np.eye(N)
-        A = coarse.aggregation_matrix(part)
+        A = aggregation_matrix(part)
         D = disaggregation_matrix(mu.probs, part)
         Pi = coarse.orthogonal_projection(mu.probs, part) @ I
         S = coarse.coarse_projection(P, mu, mu, part) @ I

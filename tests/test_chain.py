@@ -197,6 +197,15 @@ def test_pstar_p_spectrum_structure():
     assert np.allclose(G, np.eye(10), atol=1e-8)
 
 
+def test_pstar_p_spectrum_clamps_roundoff_negatives():
+    # P* P is positive semidefinite; on reducible_coarse its zero
+    # eigenvalue comes out of LAPACK as about -1.4e-16
+    P, _, _ = models.pathological_fixtures()["reducible_coarse"]
+    sd = chain.pstar_p_spectrum(P, chain.steady_state(P))
+    assert np.all(sd.lambdas >= 0.0)
+    assert sd.lambdas[2] == pytest.approx(0.0, abs=1e-15)
+
+
 def test_pstar_p_spectrum_is_spectrum_of_composition():
     rng = np.random.default_rng(6)
     P = random_chain(rng, 12)

@@ -86,6 +86,35 @@ def test_report_json(tmp_path):
     assert "sin2theta_k2" in rep and "angle_bound_k2" in rep
 
 
+def _no_nan(token):
+    raise ValueError(f"report.json holds the bare token {token}")
+
+
+def test_report_json_writes_null_for_undefined_bounds(tmp_path):
+    # diagonal moves make the even grid bipartite: lambda_2 = 1, and the
+    # angle bounds are undefined
+    cfg = write_cfg(tmp_path, "model = chain2d\nN = 10\nmove_set = diagonal\n")
+    assert main(["report", "--model", cfg, "--partition", "grid2d:s=2",
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text(),
+                     parse_constant=_no_nan)
+    assert rep["angle_bound_k2"] is None and rep["angle_bound_k3"] is None
+    assert rep["sin2theta_k2"] is not None
+
+
+def test_report_angle_bound_on_roundoff_negative_eigenvalue(tmp_path):
+    # the third eigenvalue of P* P on reducible_coarse is zero, and comes
+    # out of LAPACK slightly negative; the bound must still be defined
+    cfg = write_cfg(tmp_path, "model = reducible_coarse\n")
+    assert main(["report", "--model", cfg, "--k-list", "2",
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text(),
+                     parse_constant=_no_nan)
+    assert rep["rho_J"] == pytest.approx(1 / 3, abs=1e-12)
+    assert rep["angle_bound_k2"] == pytest.approx(5 / 9, abs=1e-12)
+    assert rep["angle_bound_k2"] >= rep["rho_J"]
+
+
 def test_shift_study_deterministic_and_monotone(tmp_path):
     cfg_args = ["shift-study", "--out", str(tmp_path), "--max-n", "5",
                 "--alpha", "0,0.15"]
@@ -217,6 +246,8 @@ def test_report_chain2d_trivial_partition(tmp_path):
     ("", ["tables", "--alpha", "0,0.05,2"], "--alpha"),
     ("", ["tables", "--alpha", "0"], "tables needs three values"),
     ("", ["tables", "--alpha", "0,0.05,0.15,0.3"], "tables needs three values"),
+    ("", ["shift-study", "--max-n", "101"], "--max-n: the 1D chain has 100"),
+    ("", ["tables", "--max-n", "101"], "--max-n: the 1D chain has 100"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):

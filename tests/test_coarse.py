@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    aggregation_matrix,
     disaggregation_matrix,
     random_chain,
     random_partition,
@@ -48,7 +49,7 @@ def test_aggregation_of_disaggregation_is_identity():
     rng = np.random.default_rng(0)
     part = random_partition(rng, 9, 3)
     nu = rng.random(9) + 0.1
-    A = coarse.aggregation_matrix(part)
+    A = aggregation_matrix(part)
     D = disaggregation_matrix(nu, part)
     assert np.allclose(A @ D, np.eye(3), atol=1e-14)
 
@@ -137,6 +138,33 @@ def test_aggregate_disaggregate_roundtrip(N, n, seed):
                        nu, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
+def test_coarse_pattern_is_the_nonzeros_of_AP(N, seed, sparse):
+    # oracle: the dense product A P. State 0 is a stratum of its own and
+    # P[0, j] is zero (a stored zero in CSC), so (A P)[0, j] is zero too
+    rng = np.random.default_rng(seed)
+    mat = random_chain(rng, N).dense().copy()
+    j = int(rng.integers(0, N))
+    mat[1, j] += mat[0, j]
+    if sparse:
+        mat = scipy.sparse.csc_array(mat)
+        mat.data[mat.indptr[j]] = 0.0  # row 0 leads the full column j
+    else:
+        mat[0, j] = 0.0
+    P = chain.StochasticMatrix(mat=mat)
+    n = int(rng.integers(2, min(N, 6) + 1))
+    rest = random_partition(rng, N - 1, n - 1).assignment + 1
+    part = coarse.make_partition(np.concatenate([[0], rest]), n)
+    cols, keys, vals = coarse.coarse_pattern(P, part)
+    AP = np.zeros((n, N))
+    AP[keys // n, cols] = vals
+    assert np.max(np.abs(AP - aggregation_matrix(part) @ P.dense())) <= 1e-15
+    # one entry per nonzero of A P: no (column, key) pair repeats
+    assert len(set(zip(cols.tolist(), keys.tolist()))) == len(cols)
+    assert np.all(vals != 0.0)
+
+
 def _storage_case(kind, rng, N):
     """(P, partition): a random, reversible or pathology chain."""
     if kind == "random":
@@ -160,7 +188,7 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
     P, part = _storage_case(kind, rng, N)
     nu = rng.random(P.n) + 0.01
     nu = chain.ProbabilityVector(probs=nu / nu.sum())
-    oracle = (coarse.aggregation_matrix(part) @ P.dense()
+    oracle = (aggregation_matrix(part) @ P.dense()
               @ disaggregation_matrix(nu.probs, part))
     dense = chain.StochasticMatrix(mat=P.dense())
     csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
