@@ -211,11 +211,6 @@ def pstar_p_spectrum(P, mu, k=None):
             f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1"
         )
     right = smc * pairs.vectors
-    # deterministic sign: largest-magnitude component positive
-    idx = np.argmax(np.abs(right), axis=0)
-    signs = np.sign(right[idx, np.arange(right.shape[1])])
-    signs[signs == 0] = 1.0
-    right = right * signs[None, :]
     lambdas[0] = 1.0
     right[:, 0] = m
     return SpectralData(lambdas=lambdas, right_vectors=right)

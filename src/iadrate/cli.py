@@ -97,6 +97,7 @@ def cmd_spectrum(args):
 
 def cmd_report(args):
     _, P, mu, part = _load_model(args)
+    _check_k_list(args.k_list, P.n)
     rep = diagnostics.full_report(P, part, k_list=args.k_list, mu=mu)
     os.makedirs(args.out, exist_ok=True)
     payload = {k: v for k, v in vars(rep).items() if k != "angle_bounds"}
@@ -119,6 +120,11 @@ def _check_max_n(max_n):
     N = models.benchmark_chain_1d_spec().N
     if max_n > N:
         raise ValueError(f"--max-n: the 1D chain has {N} states, got {max_n}")
+
+
+def _check_k_list(k_list, n):
+    if max(k_list) >= n:
+        raise ValueError(f"--k-list: the chain has {n} states, got k = {max(k_list)}")
 
 
 def _shift_study_rows(alphas, max_n):
@@ -191,6 +197,7 @@ def cmd_tables(args):
         raise ValueError(f"--alpha: tables needs three values, one for each "
                          f"of figures 3-5, got {len(args.alpha)}")
     _check_max_n(args.max_n)
+    _check_k_list(args.k_list, models.benchmark_chain_1d_spec().N)
     os.makedirs(args.out, exist_ok=True)
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain

@@ -7,6 +7,8 @@ spectrum formula, and through two interpretable upper bounds (a norm
 bound and an angle bound built from the dominant eigenvectors of P* P).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import linalg
@@ -18,9 +20,7 @@ from .chain import (
     time_reversal,
 )
 from .coarse import coarse_projection, is_refinement, orthogonal_projection
-from .errors import ReducibleMatrixError, RefinementError
-
-from dataclasses import dataclass
+from .errors import ReducibleMatrixError, RefinementError, SingularMatrixError
 
 # Eigenvalues of K the exact formula maps back above linalg.ARPACK_MIN_N.
 _EXACT_FORMULA_K = 6
@@ -79,32 +79,42 @@ def rho_J_exact_formula(P, mu, part):
     K (modulus below _DROP_TOL times K's largest) are discarded before
     the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
     above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
-    of J nearest 1 (for a reversible chain, rho(J) among them).
+    of J nearest 1 (for a reversible chain, rho(J) among them). Singleton
+    strata (Pi = I) give K = 0, so the spectrum is {0}.
     """
+    if part.n == P.n:
+        return np.zeros(1)
     K = _projected_resolvent(P.mat, mu, part)
     k = None if P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
     lam = linalg.leading_eigs(K, k).values
     lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam[0])]
-    vals = 1.0 - 1.0 / lam
-    return np.concatenate([vals, [0.0]])
+    return np.concatenate([1.0 - 1.0 / lam, [0.0]])
 
 
 def norm_bound(P, mu, part):
-    """Norm bound on rho(J).
-
-    Reversible case: 1 - 1/||(I-Pi)(I-P_hat)^{-1}(I-Pi)||_{1/mu}, the
-    largest eigenvalue of J; it equals rho(J) when that eigenvalue has
-    the largest modulus, but not on reducible_coarse, where J has the
-    spectrum {0, 0, -1/3}. General case: the same construction with
-    P_hat* P_hat = P* P - mu 1^T inside the resolvent bounds rho^2, so the
-    square root is returned.
+    """Norm bound on rho(J): 1 - 1/||K||_{1/mu}, K the projected
+    resolvent of Q = P for a reversible chain, where it is the largest
+    eigenvalue of J (rho(J) only if that has the largest modulus: on
+    reducible_coarse J has the spectrum {0, 0, -1/3}). Otherwise Q = P* P
+    puts P_hat* P_hat inside K, which bounds rho^2, and the square root
+    is returned. ||K||_{1/mu} is the largest eigenvalue of the symmetric
+    diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
     """
-    w = 1.0 / mu.probs
-    if is_reversible(P, mu):
-        K = _projected_resolvent(P.mat, mu, part)
-        return 1.0 - 1.0 / linalg.spectral_radius_symmetric_psd(K, w)
-    K = _projected_resolvent(time_reversal(P, mu).mat @ P.mat, mu, part)
-    return float(np.sqrt(1.0 - 1.0 / linalg.spectral_radius_symmetric_psd(K, w)))
+    if part.n == P.n:
+        return 0.0
+    rev = is_reversible(P, mu)
+    Q = P.mat if rev else time_reversal(P, mu).mat @ P.mat
+    try:
+        K = _projected_resolvent(Q, mu, part)
+    except SingularMatrixError as exc:
+        if rev:
+            raise
+        raise SingularMatrixError("norm_bound: P* P is reducible (lambda_2 = 1); "
+                                  "the non-reversible norm bound is undefined") from exc
+    sw = np.sqrt(1.0 / mu.probs)[:, None]
+    T = linalg.block_operator(P.n, lambda X: sw * (K @ (X / sw)))
+    nb = 1.0 - 1.0 / float(linalg.leading_eigs(T, 1, symmetric=True).values[0])
+    return nb if rev else float(np.sqrt(nb))
 
 
 def sin_theta(P, mu, part, k, sd=None):
@@ -167,10 +177,8 @@ def full_report(P, part, k_list=(2,), mu=None):
     for k in k_list:
         s = sin_theta(P, mu, part, k, sd=sd)
         s2 = s * s
-        if sqrt_l2 < 1.0:
-            bounds[int(k)] = (s2, angle_bound(sd.lambdas, s2, k, rev))
-        else:
-            bounds[int(k)] = (s2, float("nan"))
+        bound = angle_bound(sd.lambdas, s2, k, rev) if sqrt_l2 < 1.0 else float("nan")
+        bounds[int(k)] = (s2, bound)
     return RateReport(
         rho_J=rho,
         rho_exact_formula=float(np.max(np.abs(exact))),

@@ -1,12 +1,10 @@
 """Real linear algebra on arrays and matrix-free operators.
 
-Everything downstream measures vectors and operators in a weighted l2
-norm, so alongside the standard factorizations this module provides the
-diag(sqrt(w)) similarity that turns self-adjoint-in-l2(w) operators into
-plain symmetric ones. Operators are `scipy.sparse.linalg.LinearOperator`s
-that act on (n, m) blocks; `leading_eigs` is the one place that decides
-whether their eigenvalues come from LAPACK on the materialized matrix or
-from ARPACK on the operator.
+Operators are `scipy.sparse.linalg.LinearOperator`s that act on (n, m)
+blocks. `leading_eigs` is the package's one eigensolver: it decides
+whether eigenvalues come from LAPACK on the materialized matrix or from
+ARPACK on the operator. Besides it: the resolvent of a stochastic
+matrix as one sparse LU, and `lu_solve` for small dense systems.
 """
 
 from dataclasses import dataclass
@@ -38,7 +36,7 @@ _ARPACK_MIN_K = 6
 # this much (exactly, for a normal A), and large eigenvalues a relative one.
 _RESIDUAL_TOL = 1e-9
 # Relative asymmetry tolerated in a materialized self-adjoint operator.
-_SYMMETRY_TOL = 1e-10
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,6 @@ def block_operator(n, f):
     columns; a vector goes through f as one column."""
     g = lambda X: f(np.reshape(X, (n, -1)))
     return LinearOperator((n, n), matvec=g, matmat=g, dtype=float)
-
-
-def as_dense(A):
-    """A square array as a float array, a LinearOperator materialized as
-    A @ I."""
-    if isinstance(A, LinearOperator):
-        return A @ np.eye(A.shape[0])
-    return np.asarray(A, dtype=float)
 
 
 def lu_solve(A, B):
@@ -86,44 +76,9 @@ def lu_solve(A, B):
     return X
 
 
-def _symmetrized(S, tol):
-    """(S + S^T) / 2, after checking S symmetric to tol relative to its
-    largest entry (at least one)."""
-    scale = max(1.0, np.max(np.abs(S)))
-    if np.max(np.abs(S - S.T)) > tol * scale:
-        raise NotSymmetricError("matrix is not symmetric to tolerance")
-    return 0.5 * (S + S.T)
-
-
-def sym_eigs(S):
-    """Full spectrum of a symmetric matrix, eigenvalues descending.
-
-    Ties keep the ascending-solver order reversed stably so results are
-    deterministic.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"sym_eigs: S must be square, got {S.shape}")
-    w, V = np.linalg.eigh(_symmetrized(S, 1e-12))
-    order = np.argsort(-w, kind="stable")
-    return EigenPairs(values=w[order], vectors=V[:, order])
-
-
 def _by_modulus(vals):
     """Indices sorting vals by descending modulus, ties in input order."""
     return np.lexsort((np.arange(len(vals)), -np.abs(vals)))
-
-
-def general_eigenvalues(A):
-    """All eigenvalues of a square real matrix, sorted by descending modulus."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"general_eigenvalues: A must be square, got {A.shape}")
-    try:
-        vals = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"general_eigenvalues: {exc}") from exc
-    return vals[_by_modulus(vals)]
 
 
 def leading_eigs(A, k=None, symmetric=False, vectors=False):
@@ -132,25 +87,33 @@ def leading_eigs(A, k=None, symmetric=False, vectors=False):
     Leading means largest modulus, or largest value when `symmetric`;
     k=None asks for all of them, and `vectors` (symmetric only) for unit
     eigenvectors as columns. Below ARPACK_MIN_N, and for all or all but
-    one of them, A is materialized and solved by LAPACK; a symmetric A
-    must then be symmetric to _SYMMETRY_TOL. Otherwise ARPACK iterates on
-    A from a fixed start vector, and every pair it returns must satisfy
-    ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|), or
-    EigenConvergenceError is raised.
+    one of them, LAPACK solves the materialized A: `eigvals`, or `eigh`/
+    `eigvalsh` on (A + A^T) / 2 if A is symmetric to _SYMMETRY_TOL
+    relative to its largest entry (at least one; else NotSymmetricError).
+    Otherwise ARPACK iterates from a fixed start vector and every pair
+    must satisfy ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|).
+    Any solver failure raises EigenConvergenceError.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
     n = A.shape[0]
-    if k is None or n < ARPACK_MIN_N or k >= n - 1:
-        M = as_dense(A)
+    if k is not None and n >= ARPACK_MIN_N and k < n - 1:
+        return _arpack_eigs(A, k, symmetric, vectors)
+    M = A @ np.eye(n) if isinstance(A, LinearOperator) else np.asarray(A, dtype=float)
+    try:
         if not symmetric:
-            return EigenPairs(values=general_eigenvalues(M)[:k], vectors=None)
+            vals = np.linalg.eigvals(M)
+            return EigenPairs(values=vals[_by_modulus(vals)][:k], vectors=None)
+        if abs(M - M.T).max() > _SYMMETRY_TOL * max(1.0, abs(M).max()):
+            raise NotSymmetricError("leading_eigs: A is not symmetric to tolerance")
+        M = 0.5 * (M + M.T)
         if vectors:
-            pairs = sym_eigs(M)
-            return EigenPairs(values=pairs.values[:k], vectors=pairs.vectors[:, :k])
-        vals = np.linalg.eigvalsh(_symmetrized(M, _SYMMETRY_TOL))
-        return EigenPairs(values=vals[::-1][:k], vectors=None)
-    return _arpack_eigs(A, k, symmetric, vectors)
+            w, V = np.linalg.eigh(M)
+            order = np.argsort(-w, kind="stable")[:k]
+            return EigenPairs(values=w[order], vectors=V[:, order])
+        return EigenPairs(values=np.linalg.eigvalsh(M)[::-1][:k], vectors=None)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"leading_eigs: {exc}") from exc
 
 
 def _arpack_eigs(A, k, symmetric, vectors):
@@ -178,20 +141,6 @@ def _arpack_eigs(A, k, symmetric, vectors):
             f"exceeds {_RESIDUAL_TOL:g} x {scale:.6g}"
         )
     return EigenPairs(values=vals, vectors=V if vectors else None)
-
-
-def spectral_radius_symmetric_psd(S, w):
-    """Largest eigenvalue of a LinearOperator self-adjoint in l2(w), from
-    the symmetric similarity diag(sqrt(w)) S diag(1/sqrt(w))."""
-    w = np.asarray(w, dtype=float)
-    if len(S.shape) != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError("spectral_radius_symmetric_psd: S must be square")
-    n = S.shape[0]
-    if w.shape != (n,):
-        raise DimensionError("spectral_radius_symmetric_psd: weight length mismatch")
-    sw = np.sqrt(w)[:, None]
-    T = block_operator(n, lambda X: sw * (S @ (X / sw)))
-    return float(leading_eigs(T, 1, symmetric=True).values[0])
 
 
 def resolvent(Q, m):

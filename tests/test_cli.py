@@ -214,6 +214,16 @@ def test_report_chain2d_matches_table4(tmp_path, cfg_text, flags, column):
         assert rep[quantity] == pytest.approx(ref[quantity], abs=1e-6)
 
 
+def test_report_singleton_partition(tmp_path):
+    # Pi = I, so K = 0 and J = 0: the exact formula and the norm bound are 0
+    cfg = write_cfg(tmp_path, "model = chain1d\n")
+    assert main(["report", "--model", cfg, "--partition", "singleton",
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["norm_bound"] == rep["rho_exact_formula"] == 0.0
+    assert rep["rho_J"] < 1e-10
+
+
 def test_report_chain2d_trivial_partition(tmp_path):
     # the single stratum sizes by the 2500 states, not the grid side
     cfg = write_cfg(tmp_path, "model = chain2d\npartition.kind = trivial\n")
@@ -248,6 +258,12 @@ def test_report_chain2d_trivial_partition(tmp_path):
     ("", ["tables", "--alpha", "0,0.05,0.15,0.3"], "tables needs three values"),
     ("", ["shift-study", "--max-n", "101"], "--max-n: the 1D chain has 100"),
     ("", ["tables", "--max-n", "101"], "--max-n: the 1D chain has 100"),
+    ("model = reducible_coarse\n", ["report"], "--k-list: the chain has 3 states"),
+    ("", ["tables", "--k-list", "2,100"], "--k-list: the chain has 100 states"),
+    ("model = marek\n", ["report"],
+     "norm_bound: P* P is reducible (lambda_2 = 1)"),
+    ("model = periodic_shift\n", ["report", "--k-list", "2"],
+     "norm_bound: P* P is reducible (lambda_2 = 1)"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):

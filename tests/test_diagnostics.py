@@ -9,7 +9,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, random_partition, random_reversible_chain
+from conftest import (
+    aggregation_matrix,
+    disaggregation_matrix,
+    random_chain,
+    random_partition,
+    random_reversible_chain,
+)
 from iadrate import chain, coarse, diagnostics, linalg, models
 from iadrate.errors import IadError, ReducibleMatrixError
 
@@ -248,6 +254,53 @@ def test_arpack_branch_matches_lapack_branch(N, kind, seed):
 
     dense, arpack = _on_both_branches(quantities)
     assert np.max(np.abs(arpack - dense)) < 1e-8
+
+
+def _dense_norm_K(P, mu, part):
+    """||K|| in l2(1/mu), K = (I - Pi)(I - Q + mu 1^T)^{-1}(I - Pi) from a
+    dense inverse, with Q = P (reversible) or P* P; and reversibility."""
+    m, Pd, I = mu.probs, P.dense(), np.eye(P.n)
+    rev = chain.is_reversible(P, mu)
+    Q = Pd if rev else (Pd.T * m[:, None] / m[None, :]) @ Pd
+    E = I - disaggregation_matrix(m, part) @ aggregation_matrix(part)
+    K = E @ np.linalg.inv(I - Q + np.outer(m, np.ones(P.n))) @ E
+    sm = np.sqrt(m)
+    return np.linalg.norm(K * sm[None, :] / sm[:, None], 2), rev
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 60),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.integers(0, 10_000))
+def test_norm_bound_matches_dense_norm(N, kind, seed):
+    # norm_bound is 1 - 1/||K|| for a reversible chain, its square root
+    # otherwise; ||K|| recovered from it matches the dense norm
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    part = random_partition(rng, N, int(rng.integers(2, min(N, 8))))
+    expect, rev = _dense_norm_K(P, mu, part)
+    for nb in _on_both_branches(lambda: diagnostics.norm_bound(P, mu, part)):
+        norm = 1.0 / (1.0 - (nb if rev else nb * nb))
+        assert norm == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["reversible", "general"])
+def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
+    # Pi = I, so K = 0 and J = 0: no eigenvalue of K to map or invert
+    rng = np.random.default_rng(9)
+    P, mu = _chain_of_kind(rng, 30, kind)
+    part = coarse.singleton_partition(30)
+    assert chain.is_reversible(P, mu) == (kind == "reversible")
+
+    def quantities():
+        rep = diagnostics.full_report(P, part, [2, 3], mu)
+        assert rep.rho_J < 1e-10
+        return (list(diagnostics.rho_J_exact_formula(P, mu, part)),
+                diagnostics.norm_bound(P, mu, part), rep.norm_bound,
+                rep.rho_exact_formula)
+
+    for got in _on_both_branches(quantities):
+        assert got == ([0.0], 0.0, 0.0, 0.0)
 
 
 def _outcome(fn):

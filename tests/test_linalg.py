@@ -45,31 +45,59 @@ def test_qr_null_vector_ambiguous():
         qr_null_vector(np.zeros((3, 3)))
 
 
-def test_sym_eigs_descending_and_orthonormal():
+def test_leading_eigs_symmetric_descending_and_orthonormal():
     rng = np.random.default_rng(5)
     S = rng.random((10, 10))
     S = 0.5 * (S + S.T)
-    pairs = linalg.sym_eigs(S)
+    pairs = linalg.leading_eigs(S, symmetric=True, vectors=True)
     assert np.all(np.diff(pairs.values) <= 1e-14)
     assert np.allclose(pairs.vectors.T @ pairs.vectors, np.eye(10), atol=1e-12)
     assert np.allclose(S @ pairs.vectors, pairs.vectors * pairs.values, atol=1e-10)
+    values = linalg.leading_eigs(S, symmetric=True).values
+    assert np.allclose(values, pairs.values, atol=1e-12)
 
 
-def test_sym_eigs_rejects_asymmetric():
+@pytest.mark.parametrize("vectors", [False, True])
+def test_leading_eigs_rejects_asymmetric(vectors):
     with pytest.raises(NotSymmetricError):
-        linalg.sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.leading_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                            symmetric=True, vectors=vectors)
 
 
-def test_general_eigenvalues_modulus_sorted():
+@pytest.mark.parametrize("vectors", [False, True])
+def test_leading_eigs_one_symmetry_tolerance(vectors):
+    # a 1e-11 relative asymmetry fails the check with or without vectors
+    S = np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]])
+    with pytest.raises(NotSymmetricError):
+        linalg.leading_eigs(S, symmetric=True, vectors=vectors)
+    S[1, 0] = 0.5 + 1e-13
+    assert linalg.leading_eigs(S, symmetric=True, vectors=vectors).values[0] \
+        == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver, symmetric, vectors", [
+    ("eigvals", False, False), ("eigh", True, True), ("eigvalsh", True, False)])
+def test_leading_eigs_lapack_failure_is_typed(monkeypatch, solver, symmetric,
+                                              vectors):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fails)
+    with pytest.raises(EigenConvergenceError):
+        linalg.leading_eigs(np.eye(3), symmetric=symmetric, vectors=vectors)
+
+
+def test_leading_eigs_modulus_sorted():
     A = np.diag([1.0, -3.0, 2.0])
-    ev = linalg.general_eigenvalues(A)
+    ev = linalg.leading_eigs(A).values
     assert np.allclose(np.abs(ev), [3.0, 2.0, 1.0])
 
 
-def test_spectral_radius_psd_matches_dense():
+def test_leading_eigs_weighted_similarity_matches_dense():
     # operators of the form diag(1/w) S with S symmetric PSD are
     # self-adjoint and PSD in l2(w); their radius is the top eigenvalue
-    # of diag(1/sqrt(w)) S diag(1/sqrt(w))
+    # of diag(1/sqrt(w)) S diag(1/sqrt(w)), reached through the
+    # similarity diag(sqrt(w)) M diag(1/sqrt(w)) that norm_bound applies
     rng = np.random.default_rng(11)
     w = rng.random(20) + 0.1
     B = rng.standard_normal((20, 20))
@@ -77,8 +105,10 @@ def test_spectral_radius_psd_matches_dense():
     M = S / w[:, None]
     sw = np.sqrt(w)
     expect = np.linalg.eigvalsh(S / np.outer(sw, sw)).max()
-    op = linalg.block_operator(20, lambda X: M @ X)
-    assert linalg.spectral_radius_symmetric_psd(op, w) == pytest.approx(expect)
+    swc = sw[:, None]
+    op = linalg.block_operator(20, lambda X: swc * (M @ (X / swc)))
+    got = linalg.leading_eigs(op, 1, symmetric=True).values[0]
+    assert got == pytest.approx(expect)
 
 
 def _diagonal_operator(d):
