@@ -51,6 +51,13 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _write_sqrt_lambdas(path, P, mu, ks):
+    """sqrt(lambda_k) of P* P and its digit count, for k in ks (from 1)."""
+    s = np.sqrt(chain.pstar_p_spectrum(P, mu, max(ks)).lambdas)
+    _write_csv(path, "k,sqrt_lambda,neglog10",
+               [[str(k), _fmt(s[k - 1]), _neglog(s[k - 1])] for k in ks])
+
+
 def cmd_solve(args):
     cfg, P, _, part = _load_model(args)
     fixtures = models.pathological_fixtures()
@@ -84,14 +91,9 @@ def cmd_spectrum(args):
     _, P, mu, _ = _load_model(args)
     if mu is None:
         mu = chain.steady_state(P)
-    sd = chain.pstar_p_spectrum(P, mu, min(P.n, args.max_n))
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for k in range(min(P.n, args.max_n)):
-        s = np.sqrt(sd.lambdas[k])
-        rows.append([str(k + 1), _fmt(s), _neglog(s)])
-    _write_csv(os.path.join(args.out, "spectrum.csv"),
-               "k,sqrt_lambda,neglog10", rows)
+    _write_sqrt_lambdas(os.path.join(args.out, "spectrum.csv"), P, mu,
+                        range(1, min(P.n, args.max_n) + 1))
     return 0
 
 
@@ -112,10 +114,6 @@ def cmd_report(args):
     return 0
 
 
-def _rho_for(P, mu, part):
-    return diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))
-
-
 def _check_max_n(max_n):
     N = models.benchmark_chain_1d_spec().N
     if max_n > N:
@@ -129,16 +127,16 @@ def _check_k_list(k_list, n):
 
 def _shift_study_rows(alphas, max_n):
     """max over ell of rho(J) for uniform n-strata partitions, per (n, alpha)."""
-    alphas = sorted(alphas)
-    per_alpha = [(a, *models.shift_mixture_1d(a)) for a in alphas]
+    per_alpha = [(a, diagnostics.ChainRates(*models.shift_mixture_1d(a)))
+                 for a in sorted(alphas)]
     rows = []
     for n in range(1, max_n + 1):
-        for a, P, mu in per_alpha:
+        for a, rates in per_alpha:
             parts = {}
-            for ell in range(0, P.n // n + 1):
-                part = models.uniform1d(P.n, n, ell)
+            for ell in range(0, rates.P.n // n + 1):
+                part = models.uniform1d(rates.P.n, n, ell)
                 parts.setdefault(part.assignment.tobytes(), part)
-            r = max(_rho_for(P, mu, part) for part in parts.values())
+            r = max(rates.rho_J(part) for part in parts.values())
             rows.append([str(n), _fmt(a), _fmt(r), _neglog(r)])
     return rows
 
@@ -154,17 +152,13 @@ def cmd_shift_study(args):
 
 def _split_sweep_rows(alpha, k):
     """rho, norm bound and angle bound across all two-way splits."""
-    P, mu = models.shift_mixture_1d(alpha)
-    N = P.n
-    rev = chain.is_reversible(P, mu)
-    sd = chain.pstar_p_spectrum(P, mu, k + 1)
+    rates = diagnostics.ChainRates(*models.shift_mixture_1d(alpha))
     rows = []
-    for ell in range(0, N - 1):
-        part = models.split1d(N, ell)
-        rho = _rho_for(P, mu, part)
-        nb = diagnostics.norm_bound(P, mu, part)
-        s = diagnostics.sin_theta(P, mu, part, k, sd=sd)
-        ab = diagnostics.angle_bound(sd.lambdas, s * s, k, rev)
+    for ell in range(0, rates.P.n - 1):
+        part = models.split1d(rates.P.n, ell)
+        rho = rates.rho_J(part)
+        nb = rates.norm_bound(part)
+        ab = rates.angle(part, k)[1]
         rows.append([str(ell), _fmt(rho), _neglog(rho), _fmt(nb), _neglog(nb),
                      _fmt(ab), _neglog(ab)])
     return rows
@@ -176,17 +170,10 @@ _SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
 
 def cmd_refine_study(args):
     """Nested uniform partitions on the 1D chain: rate against n."""
-    P, mu = models.shift_mixture_1d(0.0)
-    rows = []
-    prev = None
-    for n in (1, 2, 4, 8, 16, 32):
-        part = models.uniform1d(P.n, n, 0)
-        if prev is None:
-            rho = _rho_for(P, mu, part)
-        else:
-            _, rho = diagnostics.refinement_compare(P, prev, part, mu=mu)
-        rows.append([str(n), _fmt(rho), _neglog(rho)])
-        prev = part
+    rates = diagnostics.ChainRates(*models.shift_mixture_1d(0.0))
+    ns = (1, 2, 4, 8, 16, 32)
+    rhos = rates.nested_rates([models.uniform1d(rates.P.n, n, 0) for n in ns])
+    rows = [[str(n), _fmt(rho), _neglog(rho)] for n, rho in zip(ns, rhos)]
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "refine.csv"), "n,rho,neglog10", rows)
     return 0
@@ -201,14 +188,8 @@ def cmd_tables(args):
     os.makedirs(args.out, exist_ok=True)
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain
-    P1, mu1 = models.shift_mixture_1d(0.0)
-    sd1 = chain.pstar_p_spectrum(P1, mu1, 5)
-    rows = []
-    for k in range(1, 5):
-        s = float(np.sqrt(sd1.lambdas[k]))
-        rows.append([str(k + 1), _fmt(s), _neglog(s)])
-    _write_csv(os.path.join(args.out, "table1.csv"),
-               "k,sqrt_lambda,neglog10", rows)
+    _write_sqrt_lambdas(os.path.join(args.out, "table1.csv"),
+                        *models.shift_mixture_1d(0.0), range(2, 6))
 
     # table3: power-method rate of the shift mixtures
     rows = []

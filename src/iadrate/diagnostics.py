@@ -58,79 +58,131 @@ def rho_hatP(P, mu):
     return rho_J_direct(deviation(P, mu))
 
 
-def _projected_resolvent(Q, mu, part):
-    """(I - Pi)(I - Q + mu 1^T)^{-1}(I - Pi) as a LinearOperator."""
-    Pi = orthogonal_projection(mu, part)
-    R = linalg.resolvent(Q, mu.probs)
+class ChainRates:
+    """The rate quantities of one chain for any number of its partitions.
 
-    def apply(X):
-        Y = R @ (X - Pi @ X)
-        return Y - Pi @ Y
-
-    return linalg.block_operator(Q.shape[0], apply)
-
-
-def rho_J_exact_formula(P, mu, part):
-    """Spectrum of J(mu) from the projected resolvent.
-
-    With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
-    spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
-    with 0 adjoined. Numerically-zero eigenvalues of the rank-deficient
-    K (modulus below _DROP_TOL times K's largest) are discarded before
-    the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
-    above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
-    of J nearest 1 (for a reversible chain, rho(J) among them). Singleton
-    strata (Pi = I) give K = 0, so the spectrum is {0}.
+    What depends on the chain alone is computed at most once: the
+    reversibility test here, and when first needed the resolvent factor
+    of P, for a non-reversible chain that of P* P, and the leading P* P
+    eigenpairs. mu defaults to the steady state of P.
     """
-    if part.n == P.n:
-        return np.zeros(1)
-    K = _projected_resolvent(P.mat, mu, part)
-    k = None if P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
-    lam = linalg.leading_eigs(K, k).values
-    lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam[0])]
-    return np.concatenate([1.0 - 1.0 / lam, [0.0]])
+
+    def __init__(self, P, mu=None):
+        self.P = P
+        self.mu = steady_state(P) if mu is None else mu
+        self.reversible = bool(is_reversible(P, self.mu))
+        self._sd = None
+        self._factors = {}
+
+    def _resolvent(self, pstar_p):
+        """The resolvent factor of P, or of P* P, built on first use."""
+        if pstar_p not in self._factors:
+            Q = (time_reversal(self.P, self.mu).mat @ self.P.mat if pstar_p
+                 else self.P.mat)
+            self._factors[pstar_p] = linalg.resolvent(Q, self.mu.probs)
+        return self._factors[pstar_p]
+
+    def pairs(self, k):
+        """At least k leading eigenpairs of P* P, solved again only for more."""
+        if self._sd is None or len(self._sd.lambdas) < k:
+            self._sd = pstar_p_spectrum(self.P, self.mu, k)
+        return self._sd
+
+    def _projected(self, R, part):
+        """(I - Pi) R (I - Pi) as a LinearOperator."""
+        Pi = orthogonal_projection(self.mu, part)
+        E = lambda X: X - Pi @ X
+        return linalg.block_operator(self.P.n, lambda X: E(R @ E(X)))
+
+    def rho_J(self, part):
+        """rho(J(mu)), the largest eigenvalue modulus of the error operator."""
+        return rho_J_direct(error_operator(self.P, self.mu, part))
+
+    def exact_formula(self, part):
+        """Spectrum of J(mu) from the projected resolvent.
+
+        With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
+        spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
+        with 0 adjoined. Numerically-zero eigenvalues of the rank-deficient
+        K (modulus below _DROP_TOL times K's largest) are discarded before
+        the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
+        above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
+        of J nearest 1 (for a reversible chain, rho(J) among them). Singleton
+        strata (Pi = I) give K = 0, so the spectrum is {0}.
+        """
+        if part.n == self.P.n:
+            return np.zeros(1)
+        K = self._projected(self._resolvent(False), part)
+        k = None if self.P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
+        lam = linalg.leading_eigs(K, k).values
+        lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam[0])]
+        return np.concatenate([1.0 - 1.0 / lam, [0.0]])
+
+    def norm_bound(self, part):
+        """Norm bound on rho(J): 1 - 1/||K||_{1/mu}, K the projected
+        resolvent of Q = P for a reversible chain, where it is the largest
+        eigenvalue of J (rho(J) only if that has the largest modulus: on
+        reducible_coarse J has the spectrum {0, 0, -1/3}). Otherwise Q = P* P
+        puts P_hat* P_hat inside K, which bounds rho^2, and the square root
+        is returned. ||K||_{1/mu} is the largest eigenvalue of the symmetric
+        diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
+        """
+        if part.n == self.P.n:
+            return 0.0
+        try:
+            K = self._projected(self._resolvent(not self.reversible), part)
+        except SingularMatrixError as exc:
+            if self.reversible:
+                raise
+            raise SingularMatrixError(
+                "norm_bound: P* P is reducible (lambda_2 = 1); the non-reversible "
+                "norm bound is undefined") from exc
+        sw = np.sqrt(1.0 / self.mu.probs)[:, None]
+        T = linalg.block_operator(self.P.n, lambda X: sw * (K @ (X / sw)))
+        nb = 1.0 - 1.0 / float(linalg.leading_eigs(T, 1, symmetric=True).values[0])
+        return nb if self.reversible else float(np.sqrt(nb))
+
+    def angle(self, part, k):
+        """(sin^2 theta, angle bound) for the k leading eigenvectors of
+        P* P; the bound is NaN when lambda_2 = 1, where it is undefined."""
+        sd = self.pairs(min(k + 1, self.P.n))
+        s = sin_theta(self.P, self.mu, part, k, sd)
+        if sd.lambdas[1] >= 1.0:
+            return s * s, float("nan")
+        return s * s, angle_bound(sd.lambdas, s * s, k, self.reversible)
+
+    def nested_rates(self, parts):
+        """rho(J) for each partition of a sequence in which each refines
+        the one before, one eigensolve each. For reversible chains refining
+        the coarse states can only shrink the rate; a rate that grows
+        raises RefinementError."""
+        if not all(map(is_refinement, parts[1:], parts[:-1])):
+            raise ValueError("nested_rates: each partition must refine the one before")
+        rhos = [self.rho_J(part) for part in parts]
+        for rho_c, rho_r in zip(rhos, rhos[1:]):
+            if self.reversible and rho_r > rho_c + 1e-10:
+                raise RefinementError(
+                    f"nested_rates: rate increased under refinement ({rho_c:.12g} "
+                    f"-> {rho_r:.12g}) for a reversible chain")
+        return rhos
 
 
 def norm_bound(P, mu, part):
-    """Norm bound on rho(J): 1 - 1/||K||_{1/mu}, K the projected
-    resolvent of Q = P for a reversible chain, where it is the largest
-    eigenvalue of J (rho(J) only if that has the largest modulus: on
-    reducible_coarse J has the spectrum {0, 0, -1/3}). Otherwise Q = P* P
-    puts P_hat* P_hat inside K, which bounds rho^2, and the square root
-    is returned. ||K||_{1/mu} is the largest eigenvalue of the symmetric
-    diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
-    """
-    if part.n == P.n:
-        return 0.0
-    rev = is_reversible(P, mu)
-    Q = P.mat if rev else time_reversal(P, mu).mat @ P.mat
-    try:
-        K = _projected_resolvent(Q, mu, part)
-    except SingularMatrixError as exc:
-        if rev:
-            raise
-        raise SingularMatrixError("norm_bound: P* P is reducible (lambda_2 = 1); "
-                                  "the non-reversible norm bound is undefined") from exc
-    sw = np.sqrt(1.0 / mu.probs)[:, None]
-    T = linalg.block_operator(P.n, lambda X: sw * (K @ (X / sw)))
-    nb = 1.0 - 1.0 / float(linalg.leading_eigs(T, 1, symmetric=True).values[0])
-    return nb if rev else float(np.sqrt(nb))
+    """ChainRates(P, mu).norm_bound(part), for one partition."""
+    return ChainRates(P, mu).norm_bound(part)
 
 
-def sin_theta(P, mu, part, k, sd=None):
+def sin_theta(P, mu, part, k, sd):
     """Sine of the angle between the span of the k leading eigenvectors
-    of P* P and the range of the coarse interpolation, measured in
-    l2(1/mu), clamped to [0, 1].
+    of P* P, taken from sd (chain.pstar_p_spectrum), and the range of the
+    coarse interpolation, measured in l2(1/mu), clamped to [0, 1].
 
     With V_k the eigenvectors (orthonormal in l2(1/mu)), sin^2 is the
     largest eigenvalue of the k x k Gram matrix of (I - Pi) V_k in
     l2(1/mu), i.e. of U_k^T (I - Pi~) U_k in plain coordinates.
     """
-    N = P.n
-    if not 2 <= k < N:
-        raise ValueError(f"sin_theta: k must satisfy 2 <= k < {N}, got {k}")
-    if sd is None:
-        sd = pstar_p_spectrum(P, mu, k)
+    if not 2 <= k < P.n:
+        raise ValueError(f"sin_theta: k must satisfy 2 <= k < {P.n}, got {k}")
     if sd.right_vectors.shape[1] < k:
         raise ValueError(f"sin_theta: sd holds {sd.right_vectors.shape[1]} "
                          f"eigenvectors, k = {k} needs k")
@@ -164,49 +216,14 @@ def angle_bound(lambdas, sin2theta, k, reversible):
 
 def full_report(P, part, k_list=(2,), mu=None):
     """All rate quantities for one chain and one aggregation."""
-    if mu is None:
-        mu = steady_state(P)
-    rev = is_reversible(P, mu)
-    sd = pstar_p_spectrum(P, mu, min(max(k_list, default=1) + 1, P.n))
-    sqrt_l2 = float(np.sqrt(sd.lambdas[1]))
-    rho_hat = rho_hatP(P, mu)
-    rho = rho_J_direct(error_operator(P, mu, part))
-    exact = rho_J_exact_formula(P, mu, part)
-    nb = norm_bound(P, mu, part)
-    bounds = {}
-    for k in k_list:
-        s = sin_theta(P, mu, part, k, sd=sd)
-        s2 = s * s
-        bound = angle_bound(sd.lambdas, s2, k, rev) if sqrt_l2 < 1.0 else float("nan")
-        bounds[int(k)] = (s2, bound)
+    rates = ChainRates(P, mu)
+    sd = rates.pairs(min(max(k_list, default=1) + 1, P.n))
     return RateReport(
-        rho_J=rho,
-        rho_exact_formula=float(np.max(np.abs(exact))),
-        norm_bound=float(nb),
-        angle_bounds=bounds,
-        sqrt_lambda2=sqrt_l2,
-        rho_hatP=rho_hat,
-        reversible=bool(rev),
+        sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
+        rho_hatP=rho_hatP(P, rates.mu),
+        rho_J=rates.rho_J(part),
+        rho_exact_formula=float(np.max(np.abs(rates.exact_formula(part)))),
+        norm_bound=float(rates.norm_bound(part)),
+        angle_bounds={int(k): rates.angle(part, k) for k in k_list},
+        reversible=rates.reversible,
     )
-
-
-def refinement_compare(P, coarse_part, refined_part, mu=None):
-    """(rho_coarse, rho_refined) for a nested pair of aggregations.
-
-    For reversible chains refining the coarse states can only shrink the
-    rate; a rate that grows raises RefinementError.
-    """
-    if not is_refinement(refined_part, coarse_part):
-        raise ValueError("refinement_compare: second partition does not "
-                         "refine the first")
-    if mu is None:
-        mu = steady_state(P)
-    rho_c = rho_J_direct(error_operator(P, mu, coarse_part))
-    rho_r = rho_J_direct(error_operator(P, mu, refined_part))
-    if is_reversible(P, mu) and rho_r > rho_c + 1e-10:
-        raise RefinementError(
-            f"refinement_compare: rate increased under refinement "
-            f"({rho_c:.12g} -> {rho_r:.12g}) for a reversible chain"
-        )
-    return float(rho_c), float(rho_r)
-

@@ -96,6 +96,8 @@ def leading_eigs(A, k=None, symmetric=False, vectors=False):
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
+    if vectors and not symmetric:
+        raise ValueError("leading_eigs: eigenvectors are for a symmetric A only")
     n = A.shape[0]
     if k is not None and n >= ARPACK_MIN_N and k < n - 1:
         return _arpack_eigs(A, k, symmetric, vectors)

@@ -90,3 +90,17 @@ def disaggregation_matrix(nu, part):
     anu = coarse.aggregate(nu, part)
     D[np.arange(part.fine_n), part.assignment] = nu / anu[part.assignment]
     return D
+
+
+def count_calls(monkeypatch, fn, *owners):
+    """Replace fn under its name in each owner module by a wrapper that
+    records its calls; returns the list of records."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, fn.__name__, counting)
+    return calls

@@ -109,7 +109,7 @@ def test_criterion_05_exact_spectrum_oracle():
     for P, mu, part in randomized_suite():
         J = diagnostics.error_operator(P, mu, part) @ np.eye(P.n)
         direct = np.linalg.eigvals(J)
-        formula = diagnostics.rho_J_exact_formula(P, mu, part)
+        formula = diagnostics.ChainRates(P, mu).exact_formula(part)
         padded = np.concatenate([formula, np.zeros(P.n - len(formula))])
         gap = np.max(np.abs(sorted_by_modulus(direct)
                             - sorted_by_modulus(padded)))
@@ -179,8 +179,8 @@ def test_criterion_08_refinement_monotonicity():
         P, mu = random_reversible_chain(rng, N)
         for _ in range(10):
             coarse_part, refined = nested_partition_pair(rng, N)
-            rc, rr = diagnostics.refinement_compare(P, coarse_part, refined,
-                                                    mu=mu)
+            rc, rr = diagnostics.ChainRates(P, mu).nested_rates(
+                [coarse_part, refined])
             assert rr <= rc + 1e-10
 
 

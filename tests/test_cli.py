@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import iadrate
-from iadrate import cli, coarse, models
+from conftest import count_calls
+from iadrate import chain, cli, coarse, diagnostics, linalg, models
 from iadrate.cli import main
 
 TABLE4 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table4.csv"
@@ -159,6 +160,25 @@ def test_refine_study(tmp_path):
             in (tmp_path / "refine.csv").read_text().splitlines()[1:]]
     rhos = [float(r[1]) for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(rhos, rhos[1:]))
+    assert [",".join(r) for r in rows] == [
+        "1,0.999992,5.09", "2,0.997265,2.56", "4,0.997058,2.53",
+        "8,0.987407,1.90", "16,0.945634,1.26", "32,0.851873,0.83"]
+
+
+def test_refine_study_computes_each_rate_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
+    assert main(["refine-study", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 6  # one per partition
+
+
+def test_split_sweep_prepares_the_chain_once(monkeypatch):
+    # 99 splits of a non-reversible chain: one reversibility test and one
+    # factor of P* P for all of them
+    resolvents = count_calls(monkeypatch, linalg.resolvent, linalg)
+    tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
+    rows = cli._split_sweep_rows(0.05, 2)
+    assert len(rows) == 99
+    assert len(resolvents) == 1 and len(tests) == 1
 
 
 def test_usage_error_exit_1():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     aggregation_matrix,
+    count_calls,
     disaggregation_matrix,
     random_chain,
     random_partition,
@@ -67,7 +68,7 @@ def test_exact_formula_matches_direct_spectrum():
         part = random_partition(rng, N, int(rng.integers(2, 5)))
         J = diagnostics.error_operator(P, mu, part) @ np.eye(N)
         direct = np.linalg.eigvals(J)
-        formula = diagnostics.rho_J_exact_formula(P, mu, part)
+        formula = diagnostics.ChainRates(P, mu).exact_formula(part)
         padded = np.concatenate([formula, np.zeros(N - len(formula))])
         assert np.max(np.abs(sorted_by_modulus(direct)
                              - sorted_by_modulus(padded))) < 1e-7
@@ -99,19 +100,21 @@ def test_sin_theta_zero_when_projector_range_contained():
     rng = np.random.default_rng(5)
     P = random_chain(rng, 7)
     mu = chain.steady_state(P)
-    s = diagnostics.sin_theta(P, mu, coarse.singleton_partition(7), 3)
+    s = diagnostics.sin_theta(P, mu, coarse.singleton_partition(7), 3,
+                              chain.pstar_p_spectrum(P, mu, 3))
     assert s == pytest.approx(0.0, abs=1e-7)
 
 
 def test_sin_theta_bounds_and_k_validation(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
-    s = diagnostics.sin_theta(P, mu, part, 2)
+    sd = chain.pstar_p_spectrum(P, mu, 2)
+    s = diagnostics.sin_theta(P, mu, part, 2, sd)
     assert 0.0 <= s <= 1.0
     with pytest.raises(ValueError):
-        diagnostics.sin_theta(P, mu, part, 1)
+        diagnostics.sin_theta(P, mu, part, 1, sd)
     with pytest.raises(ValueError):
-        diagnostics.sin_theta(P, mu, part, 100)
+        diagnostics.sin_theta(P, mu, part, 100, sd)
 
 
 def test_angle_bound_endpoints():
@@ -184,18 +187,19 @@ def test_refinement_compare(bench_1d):
     P, mu = bench_1d
     coarse_part = models.uniform1d(100, 2, 0)
     refined = models.uniform1d(100, 4, 0)
-    rc, rr = diagnostics.refinement_compare(P, coarse_part, refined, mu=mu)
+    rates = diagnostics.ChainRates(P, mu)
+    rc, rr = rates.nested_rates([coarse_part, refined])
     assert rr <= rc + 1e-10
-    same = diagnostics.refinement_compare(P, coarse_part, coarse_part, mu=mu)
+    same = rates.nested_rates([coarse_part, coarse_part])
     assert same[0] == pytest.approx(same[1], abs=1e-12)
     with pytest.raises(ValueError):
-        diagnostics.refinement_compare(P, refined, coarse_part, mu=mu)
+        rates.nested_rates([refined, coarse_part])
 
 
 def test_reversible_exact_formula_nonnegative_real(bench_1d):
     P, mu = bench_1d
     part = models.uniform1d(100, 5, 0)
-    vals = diagnostics.rho_J_exact_formula(P, mu, part)
+    vals = diagnostics.ChainRates(P, mu).exact_formula(part)
     assert np.max(np.abs(np.imag(vals))) < 1e-9
     assert np.min(np.real(vals)) > -1e-9
 
@@ -256,14 +260,20 @@ def test_arpack_branch_matches_lapack_branch(N, kind, seed):
     assert np.max(np.abs(arpack - dense)) < 1e-8
 
 
+def _dense_K(mu, part, Q):
+    """K = (I - Pi)(I - Q + mu 1^T)^{-1}(I - Pi) from a dense inverse."""
+    m, I = mu.probs, np.eye(len(mu.probs))
+    E = I - disaggregation_matrix(m, part) @ aggregation_matrix(part)
+    return E @ np.linalg.inv(I - Q + np.outer(m, np.ones(len(m)))) @ E
+
+
 def _dense_norm_K(P, mu, part):
-    """||K|| in l2(1/mu), K = (I - Pi)(I - Q + mu 1^T)^{-1}(I - Pi) from a
-    dense inverse, with Q = P (reversible) or P* P; and reversibility."""
-    m, Pd, I = mu.probs, P.dense(), np.eye(P.n)
+    """||K|| in l2(1/mu), K from Q = P (reversible) or P* P; and
+    reversibility."""
+    m, Pd = mu.probs, P.dense()
     rev = chain.is_reversible(P, mu)
     Q = Pd if rev else (Pd.T * m[:, None] / m[None, :]) @ Pd
-    E = I - disaggregation_matrix(m, part) @ aggregation_matrix(part)
-    K = E @ np.linalg.inv(I - Q + np.outer(m, np.ones(P.n))) @ E
+    K = _dense_K(mu, part, Q)
     sm = np.sqrt(m)
     return np.linalg.norm(K * sm[None, :] / sm[:, None], 2), rev
 
@@ -284,6 +294,57 @@ def test_norm_bound_matches_dense_norm(N, kind, seed):
         assert norm == pytest.approx(expect, rel=1e-10)
 
 
+def _rates_on(rates, part):
+    """Every per-partition quantity of a ChainRates, as flat arrays."""
+    return [np.atleast_1d(x) for x in (
+        rates.rho_J(part), rates.exact_formula(part), rates.norm_bound(part),
+        rates.angle(part, 2), rates.angle(part, 3))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(10, 60),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.integers(0, 10_000))
+def test_prepared_chain_matches_fresh_and_dense_oracle(N, kind, seed):
+    # one ChainRates reused over several partitions gives exactly the
+    # numbers of a fresh one per partition; its exact formula and norm
+    # bound match the dense K, on the LAPACK and on the ARPACK branch
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    parts = [random_partition(rng, N, int(rng.integers(2, min(N, 8))))
+             for _ in range(3)]
+    expect = [_dense_norm_K(P, mu, part)[0] for part in parts]
+    K_spectra = [np.linalg.eigvals(_dense_K(mu, part, P.dense()))
+                 for part in parts]
+
+    def check():
+        shared = diagnostics.ChainRates(P, mu)
+        for part, norm, lam in zip(parts, expect, K_spectra):
+            got = _rates_on(shared, part)
+            fresh = _rates_on(diagnostics.ChainRates(P, mu), part)
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b, equal_nan=True)
+            lam = lam[np.abs(lam) > 1e-9 * np.abs(lam).max()]
+            for v in got[1][:-1]:
+                assert np.min(np.abs(1.0 - 1.0 / lam - v)) < 1e-7
+            nb = got[2][0]
+            nb = nb if shared.reversible else nb * nb
+            assert 1.0 / (1.0 - nb) == pytest.approx(norm, rel=1e-10)
+
+    _on_both_branches(check)
+
+
+def test_full_report_factors_once(bench_1d, monkeypatch):
+    # the exact formula and the norm bound of a reversible chain share
+    # one resolvent factor and one reversibility test
+    P, mu = bench_1d
+    resolvents = count_calls(monkeypatch, linalg.resolvent, linalg)
+    tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
+    rep = diagnostics.full_report(P, models.split1d(100, 57), [2], mu)
+    assert rep.reversible
+    assert len(resolvents) == 1 and len(tests) == 1
+
+
 @pytest.mark.parametrize("kind", ["reversible", "general"])
 def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
     # Pi = I, so K = 0 and J = 0: no eigenvalue of K to map or invert
@@ -295,7 +356,7 @@ def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
     def quantities():
         rep = diagnostics.full_report(P, part, [2, 3], mu)
         assert rep.rho_J < 1e-10
-        return (list(diagnostics.rho_J_exact_formula(P, mu, part)),
+        return (list(diagnostics.ChainRates(P, mu).exact_formula(part)),
                 diagnostics.norm_bound(P, mu, part), rep.norm_bound,
                 rep.rho_exact_formula)
 
@@ -329,7 +390,7 @@ def test_cyclic_shift_on_arpack_matches_lapack_or_raises(N):
         lambda: diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part)),
         lambda: diagnostics.rho_hatP(P, mu),
         lambda: chain.pstar_p_spectrum(P, mu, 4).lambdas,
-        lambda: np.max(np.abs(diagnostics.rho_J_exact_formula(P, mu, part))),
+        lambda: np.max(np.abs(diagnostics.ChainRates(P, mu).exact_formula(part))),
     )
     for piece in pieces:
         dense, arpack = _on_both_branches(lambda: _outcome(piece))

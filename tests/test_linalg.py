@@ -87,6 +87,14 @@ def test_leading_eigs_lapack_failure_is_typed(monkeypatch, solver, symmetric,
         linalg.leading_eigs(np.eye(3), symmetric=symmetric, vectors=vectors)
 
 
+@pytest.mark.parametrize("n", [50, linalg.ARPACK_MIN_N + 50])
+def test_leading_eigs_vectors_only_for_symmetric(n):
+    # LAPACK (below the crossover) and ARPACK (above) both refuse
+    A = np.random.default_rng(13).random((n, n))
+    with pytest.raises(ValueError):
+        linalg.leading_eigs(A, 2, vectors=True)
+
+
 def test_leading_eigs_modulus_sorted():
     A = np.diag([1.0, -3.0, 2.0])
     ev = linalg.leading_eigs(A).values
