@@ -75,15 +75,9 @@ def cmd_solve(args):
         est, trace = exc.trace.iterates[-1], exc.trace
         code = 2
     chain.save_vector(os.path.join(args.out, "mu.txt"), est)
-    mu_ref = est.probs
-    rows = []
-    for k in range(len(trace.rel_changes)):
-        it = trace.iterates[k + 1].probs
-        err = np.sqrt(np.sum((it - mu_ref) ** 2 / mu_ref))
-        rows.append([str(k + 1), f"{trace.rel_changes[k]:.9e}",
-                     f"{trace.residuals[k]:.9e}", f"{err:.9e}"])
-    _write_csv(os.path.join(args.out, "trace.csv"),
-               "iter,rel_change,residual,err_invmu", rows)
+    rows = [[str(k), f"{change:.9e}", f"{resid:.9e}"] for k, (change, resid)
+            in enumerate(zip(trace.rel_changes, trace.residuals), 1)]
+    _write_csv(os.path.join(args.out, "trace.csv"), "iter,rel_change,residual", rows)
     return code
 
 
@@ -179,6 +173,20 @@ def cmd_refine_study(args):
     return 0
 
 
+def _table4_rows(k_list):
+    """Table 4 (header, rows): rate and bounds of one prepared 2D chain."""
+    N = models.benchmark_chain_2d_spec().N
+    rates = diagnostics.ChainRates(*models.build_model({"model": "chain2d"})[:2])
+    reports = [rates.report(models.stripes2d(N, 3), k_list),
+               rates.report(models.grid2d(N, 6), k_list)]
+    rows = [[q] + [_fmt(getattr(r, q)) for r in reports]
+            for q in ("rho_J", "norm_bound")]
+    for k in k_list:
+        rows += [[f"{q}_k{k}"] + [_fmt(r.angle_bounds[k][i]) for r in reports]
+                 for i, q in enumerate(("sin2theta", "angle_bound"))]
+    return "quantity,stripes2d:s=3,grid2d:s=6", rows
+
+
 def cmd_tables(args):
     if len(args.alpha) != 3:
         raise ValueError(f"--alpha: tables needs three values, one for each "
@@ -200,25 +208,7 @@ def cmd_tables(args):
     _write_csv(os.path.join(args.out, "table3.csv"),
                "alpha,rho_hatP,neglog10", rows)
 
-    # table4: rate and bounds for the 2D chain under two aggregations
-    parts = ("stripes2d:s=3", "grid2d:s=6")
-    reports = []
-    for text in parts:
-        P2, mu2, part = models.build_model(
-            models.with_partition({"model": "chain2d"}, text))
-        reports.append(
-            diagnostics.full_report(P2, part, k_list=args.k_list, mu=mu2))
-    rows = [
-        ["rho_J"] + [_fmt(r.rho_J) for r in reports],
-        ["norm_bound"] + [_fmt(r.norm_bound) for r in reports],
-    ]
-    for k in args.k_list:
-        rows.append([f"sin2theta_k{k}"]
-                    + [_fmt(r.angle_bounds[k][0]) for r in reports])
-        rows.append([f"angle_bound_k{k}"]
-                    + [_fmt(r.angle_bounds[k][1]) for r in reports])
-    _write_csv(os.path.join(args.out, "table4.csv"),
-               ",".join(("quantity",) + parts), rows)
+    _write_csv(os.path.join(args.out, "table4.csv"), *_table4_rows(args.k_list))
 
     # fig2: worst-case rate over stratum shifts
     _write_csv(os.path.join(args.out, "fig2.csv"),

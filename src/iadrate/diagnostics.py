@@ -20,7 +20,8 @@ from .chain import (
     time_reversal,
 )
 from .coarse import coarse_projection, is_refinement, orthogonal_projection
-from .errors import ReducibleMatrixError, RefinementError, SingularMatrixError
+from .errors import (PartitionError, ReducibleMatrixError, RefinementError,
+                     SingularMatrixError)
 
 # Eigenvalues of K the exact formula maps back above linalg.ARPACK_MIN_N.
 _EXACT_FORMULA_K = 6
@@ -63,15 +64,15 @@ class ChainRates:
 
     What depends on the chain alone is computed at most once: the
     reversibility test here, and when first needed the resolvent factor
-    of P, for a non-reversible chain that of P* P, and the leading P* P
-    eigenpairs. mu defaults to the steady state of P.
+    of P, for a non-reversible chain that of P* P, the leading P* P
+    eigenpairs and rho(P_hat). mu defaults to the steady state of P.
     """
 
     def __init__(self, P, mu=None):
         self.P = P
         self.mu = steady_state(P) if mu is None else mu
         self.reversible = bool(is_reversible(P, self.mu))
-        self._sd = None
+        self._sd = self._rho_hatP = None
         self._factors = {}
 
     def _resolvent(self, pstar_p):
@@ -151,13 +152,28 @@ class ChainRates:
             return s * s, float("nan")
         return s * s, angle_bound(sd.lambdas, s * s, k, self.reversible)
 
+    def report(self, part, k_list=(2,)):
+        """All rate quantities for one aggregation."""
+        if self._rho_hatP is None:
+            self._rho_hatP = rho_hatP(self.P, self.mu)
+        sd = self.pairs(min(max(k_list, default=1) + 1, self.P.n))
+        return RateReport(
+            sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
+            rho_hatP=self._rho_hatP,
+            rho_J=self.rho_J(part),
+            rho_exact_formula=float(np.max(np.abs(self.exact_formula(part)))),
+            norm_bound=float(self.norm_bound(part)),
+            angle_bounds={int(k): self.angle(part, k) for k in k_list},
+            reversible=self.reversible,
+        )
+
     def nested_rates(self, parts):
         """rho(J) for each partition of a sequence in which each refines
         the one before, one eigensolve each. For reversible chains refining
         the coarse states can only shrink the rate; a rate that grows
         raises RefinementError."""
         if not all(map(is_refinement, parts[1:], parts[:-1])):
-            raise ValueError("nested_rates: each partition must refine the one before")
+            raise PartitionError("nested_rates: each partition must refine the one before")
         rhos = [self.rho_J(part) for part in parts]
         for rho_c, rho_r in zip(rhos, rhos[1:]):
             if self.reversible and rho_r > rho_c + 1e-10:
@@ -215,15 +231,5 @@ def angle_bound(lambdas, sin2theta, k, reversible):
 
 
 def full_report(P, part, k_list=(2,), mu=None):
-    """All rate quantities for one chain and one aggregation."""
-    rates = ChainRates(P, mu)
-    sd = rates.pairs(min(max(k_list, default=1) + 1, P.n))
-    return RateReport(
-        sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
-        rho_hatP=rho_hatP(P, rates.mu),
-        rho_J=rates.rho_J(part),
-        rho_exact_formula=float(np.max(np.abs(rates.exact_formula(part)))),
-        norm_bound=float(rates.norm_bound(part)),
-        angle_bounds={int(k): rates.angle(part, k) for k in k_list},
-        reversible=rates.reversible,
-    )
+    """ChainRates(P, mu).report(part, k_list), for one partition."""
+    return ChainRates(P, mu).report(part, k_list)

@@ -13,7 +13,10 @@ from .chain import ProbabilityVector, steady_state
 from .coarse import coarse_matrix, coarse_pattern, disaggregate
 from .errors import NonConvergenceError
 
+from collections import deque
 from dataclasses import dataclass, field
+
+_TAIL = 64  # iterates a trace keeps: the tail empirical_rate fits
 
 
 @dataclass(frozen=True)
@@ -30,10 +33,10 @@ class IadConfig:
 
 @dataclass
 class IadTrace:
-    """History of one solve: the iterates mu^0, mu^1, ... plus the
-    per-step change and residual maxima used by the stopping rule."""
+    """History of one solve: the last _TAIL iterates mu^k, plus every
+    step's change and residual maxima used by the stopping rule."""
 
-    iterates: list = field(default_factory=list)
+    iterates: deque = field(default_factory=lambda: deque(maxlen=_TAIL))
     rel_changes: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
 
@@ -64,7 +67,7 @@ def iad_solve(P, part, mu0, cfg=None):
     if np.any(mu0.probs <= 0):
         raise ValueError("iad_solve: mu0 must be strictly positive")
     pattern = coarse_pattern(P, part)
-    trace = IadTrace(iterates=[mu0])
+    trace = IadTrace(iterates=deque([mu0], maxlen=_TAIL))
     mu_old = mu0
     for _ in range(cfg.max_outer):
         mu_new = iad_step(P, part, mu_old, pattern)
@@ -87,8 +90,9 @@ def empirical_rate(trace, mu):
     """Observed asymptotic contraction factor of a solve.
 
     Fits a least-squares line to log of the weighted error
-    ||mu^k - mu||_{1/mu} over the last half of the iterations whose
-    error is still above 100x machine epsilon; returns exp(slope).
+    ||mu^k - mu||_{1/mu} over the last half of the trace's iterates whose
+    error is above 100x machine epsilon; returns exp(slope). Too few such
+    iterates, as a solve driven down to roundoff leaves, raise ValueError.
     """
     m = mu.probs
     errs = np.array(

@@ -32,8 +32,9 @@ def test_solve_1d_split(tmp_path):
     mu = np.loadtxt(out / "mu.txt")
     assert mu.sum() == pytest.approx(1.0)
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iter,rel_change,residual,err_invmu"
+    assert lines[0] == "iter,rel_change,residual"
     assert len(lines) > 10
+    assert lines[1].startswith("1,") and len(lines[1].split(",")) == 3
 
 
 def test_solve_singleton_partition_quick(tmp_path):
@@ -179,6 +180,16 @@ def test_split_sweep_prepares_the_chain_once(monkeypatch):
     rows = cli._split_sweep_rows(0.05, 2)
     assert len(rows) == 99
     assert len(resolvents) == 1 and len(tests) == 1
+
+
+def test_table4_prepares_the_2d_chain_once(monkeypatch):
+    # both columns share one reversibility test and one P* P eigensolve,
+    # and reproduce the reference table
+    tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
+    spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
+    header, rows = cli._table4_rows([2, 3])
+    assert len(tests) == 1 and len(spectra) == 1
+    assert [header] + [",".join(row) for row in rows] == TABLE4.read_text().splitlines()
 
 
 def test_usage_error_exit_1():

@@ -18,7 +18,7 @@ from conftest import (
     random_reversible_chain,
 )
 from iadrate import chain, coarse, diagnostics, linalg, models
-from iadrate.errors import IadError, ReducibleMatrixError
+from iadrate.errors import IadError, PartitionError, ReducibleMatrixError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -192,7 +192,7 @@ def test_refinement_compare(bench_1d):
     assert rr <= rc + 1e-10
     same = rates.nested_rates([coarse_part, coarse_part])
     assert same[0] == pytest.approx(same[1], abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(PartitionError):
         rates.nested_rates([refined, coarse_part])
 
 

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -88,7 +89,8 @@ def test_iad_solve_1d_chain(bench_1d):
     # stop tolerance tau maps to error ~ tau / (1 - rho) ~ 1.3e-7
     assert np.max(np.abs(est.probs - mu.probs) / mu.probs) < 1e-6
     assert len(trace.rel_changes) == len(trace.residuals)
-    assert len(trace.iterates) == len(trace.rel_changes) + 1
+    # the solve takes thousands of steps; the trace keeps the last 64
+    assert len(trace.iterates) == 64 and trace.iterates[-1] is est
 
 
 def test_iad_solve_2d_grid(bench_2d):
@@ -116,23 +118,63 @@ def test_iad_solve_rank_one_chain():
 def test_iad_solve_marek_not_locally_convergent():
     P, part, mu0 = models.pathological_fixtures()["marek"]
     with pytest.raises(NonConvergenceError) as exc:
-        iad.iad_solve(P, part, mu0, iad.IadConfig(max_outer=500))
+        iad.iad_solve(P, part, mu0, iad.IadConfig(max_outer=2000))
     trace = exc.value.trace
-    assert len(trace.rel_changes) == 500
+    assert len(trace.rel_changes) == len(trace.residuals) == 2000
     # the error neither dies nor blows up: the iteration cycles
     assert trace.rel_changes[-1] > 1e-6
+    # a solve run to its cap keeps every step's change and residual, but
+    # only its last 64 iterates
+    assert len(trace.iterates) == 64
+    pattern = coarse.coarse_pattern(P, part)
+    for before, after in itertools.pairwise(trace.iterates):
+        assert np.array_equal(after.probs, iad.iad_step(P, part, before, pattern).probs)
 
 
 def test_iterates_stay_positive_and_normalized(bench_1d):
     P, _ = bench_1d
-    try:
-        _, trace = iad.iad_solve(P, models.split1d(100, 20), uniform_pv(100),
-                                 iad.IadConfig(max_outer=300))
-    except NonConvergenceError as exc:
-        trace = exc.trace
-    arr = np.array([it.probs for it in trace.iterates])
-    assert np.all(arr > 0)
-    assert np.max(np.abs(arr.sum(axis=1) - 1.0)) < 1e-12
+    part = models.split1d(100, 20)
+    mu_k = uniform_pv(100)
+    for _ in range(300):
+        mu_k = iad.iad_step(P, part, mu_k)
+        assert np.all(mu_k.probs > 0)
+        assert abs(mu_k.probs.sum() - 1.0) < 1e-12
+
+
+def _full_history(P, part, mu0, steps):
+    """mu^0 .. mu^steps by stepping iad_step: the history a trace drops."""
+    pattern = coarse.coarse_pattern(P, part)
+    iterates = [mu0]
+    for _ in range(steps):
+        iterates.append(iad.iad_step(P, part, iterates[-1], pattern))
+    return iterates
+
+
+@pytest.mark.parametrize("case", ["split1d", "grid2d"])
+def test_tail_rate_matches_full_history_rate(case, bench_1d, bench_2d):
+    P, mu = bench_1d if case == "split1d" else bench_2d
+    part = models.split1d(100, 57) if case == "split1d" else models.grid2d(50, 6)
+    mu0 = uniform_pv(P.n)
+    _, trace = iad.iad_solve(P, part, mu0)
+    full = _full_history(P, part, mu0, len(trace.rel_changes))
+    assert len(full) > 1000
+    for kept, ref in zip(trace.iterates, full[-64:], strict=True):
+        assert np.array_equal(kept.probs, ref.probs)
+    rate = iad.empirical_rate(trace, mu)
+    assert rate == pytest.approx(iad.empirical_rate(iad.IadTrace(iterates=full), mu),
+                                 abs=1e-4)
+
+
+def test_empirical_rate_raises_on_a_tail_at_roundoff():
+    # the power method on a fast-mixing chain gets within 100 eps of mu
+    # by step 21 and then stalls without meeting tau; by step 300 no
+    # iterate in the tail has an error above 100 eps
+    P = random_chain(np.random.default_rng(2), 8)
+    with pytest.raises(NonConvergenceError) as exc:
+        iad.iad_solve(P, coarse.trivial_partition(8), uniform_pv(8),
+                      iad.IadConfig(tau=1e-300, max_outer=300))
+    with pytest.raises(ValueError, match="usable iterates"):
+        iad.empirical_rate(exc.value.trace, chain.steady_state(P))
 
 
 def test_error_recursion_is_exact_at_the_iterate():
@@ -195,7 +237,7 @@ def test_iad_solve_iterates_match_composed_public_steps(kind, csc, N, n, seed):
         _, trace = iad.iad_solve(P, part, mu0, iad.IadConfig(max_outer=4))
     except NonConvergenceError as exc:
         trace = exc.trace
-    for before, after in zip(trace.iterates, trace.iterates[1:]):
+    for before, after in itertools.pairwise(trace.iterates):
         gap = after.probs - _composed_step(P, part, before)
         assert np.max(np.abs(gap)) <= 1e-14
 
