@@ -70,10 +70,6 @@ class ProbabilityVector:
 
     probs: np.ndarray
 
-    @property
-    def n(self):
-        return self.probs.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralData:

@@ -51,9 +51,9 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _write_sqrt_lambdas(path, P, mu, ks):
+def _write_sqrt_lambdas(path, lambdas, ks):
     """sqrt(lambda_k) of P* P and its digit count, for k in ks (from 1)."""
-    s = np.sqrt(chain.pstar_p_spectrum(P, mu, max(ks)).lambdas)
+    s = np.sqrt(lambdas)
     _write_csv(path, "k,sqrt_lambda,neglog10",
                [[str(k), _fmt(s[k - 1]), _neglog(s[k - 1])] for k in ks])
 
@@ -83,11 +83,10 @@ def cmd_solve(args):
 
 def cmd_spectrum(args):
     _, P, mu, _ = _load_model(args)
-    if mu is None:
-        mu = chain.steady_state(P)
+    ks = range(1, min(P.n, args.max_n) + 1)
+    lambdas = diagnostics.ChainRates(P, mu).pairs(len(ks)).lambdas
     os.makedirs(args.out, exist_ok=True)
-    _write_sqrt_lambdas(os.path.join(args.out, "spectrum.csv"), P, mu,
-                        range(1, min(P.n, args.max_n) + 1))
+    _write_sqrt_lambdas(os.path.join(args.out, "spectrum.csv"), lambdas, ks)
     return 0
 
 
@@ -119,13 +118,23 @@ def _check_k_list(k_list, n):
         raise ValueError(f"--k-list: the chain has {n} states, got k = {max(k_list)}")
 
 
-def _shift_study_rows(alphas, max_n):
-    """max over ell of rho(J) for uniform n-strata partitions, per (n, alpha)."""
-    per_alpha = [(a, diagnostics.ChainRates(*models.shift_mixture_1d(a)))
-                 for a in sorted(alphas)]
+_SHIFT_HEADER = "n,alpha,max_rho,neglog10"
+_SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
+                 "angle_bound,angle_bound_neglog10")
+
+
+def _prepare(alphas):
+    """{alpha: ChainRates} of the 1D shift mixtures, one per alpha."""
+    return {a: diagnostics.ChainRates(*models.shift_mixture_1d(a))
+            for a in sorted(alphas)}
+
+
+def _shift_study_rows(chains, max_n):
+    """max over ell of rho(J) for uniform n-strata partitions, per n and
+    per alpha of the prepared chains {alpha: ChainRates}."""
     rows = []
     for n in range(1, max_n + 1):
-        for a, rates in per_alpha:
+        for a, rates in sorted(chains.items()):
             parts = {}
             for ell in range(0, rates.P.n // n + 1):
                 part = models.uniform1d(rates.P.n, n, ell)
@@ -138,15 +147,13 @@ def _shift_study_rows(alphas, max_n):
 def cmd_shift_study(args):
     _check_max_n(args.max_n)
     os.makedirs(args.out, exist_ok=True)
-    rows = _shift_study_rows(args.alpha, args.max_n)
-    _write_csv(os.path.join(args.out, "fig2.csv"),
-               "n,alpha,max_rho,neglog10", rows)
+    _write_csv(os.path.join(args.out, "fig2.csv"), _SHIFT_HEADER,
+               _shift_study_rows(_prepare(args.alpha), args.max_n))
     return 0
 
 
-def _split_sweep_rows(alpha, k):
-    """rho, norm bound and angle bound across all two-way splits."""
-    rates = diagnostics.ChainRates(*models.shift_mixture_1d(alpha))
+def _split_sweep_rows(rates, k):
+    """rho, norm bound and angle bound across all two-way splits of `rates`."""
     rows = []
     for ell in range(0, rates.P.n - 1):
         part = models.split1d(rates.P.n, ell)
@@ -158,13 +165,9 @@ def _split_sweep_rows(alpha, k):
     return rows
 
 
-_SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
-                 "angle_bound,angle_bound_neglog10")
-
-
 def cmd_refine_study(args):
     """Nested uniform partitions on the 1D chain: rate against n."""
-    rates = diagnostics.ChainRates(*models.shift_mixture_1d(0.0))
+    rates = _prepare([0.0])[0.0]
     ns = (1, 2, 4, 8, 16, 32)
     rhos = rates.nested_rates([models.uniform1d(rates.P.n, n, 0) for n in ns])
     rows = [[str(n), _fmt(rho), _neglog(rho)] for n, rho in zip(ns, rhos)]
@@ -194,32 +197,29 @@ def cmd_tables(args):
     _check_max_n(args.max_n)
     _check_k_list(args.k_list, models.benchmark_chain_1d_spec().N)
     os.makedirs(args.out, exist_ok=True)
+    # one prepared chain per alpha, and alpha = 0 for table 1
+    chains = _prepare({0.0, *args.alpha})
 
     # table1: leading sqrt eigenvalues of the 1D metastable chain
     _write_sqrt_lambdas(os.path.join(args.out, "table1.csv"),
-                        *models.shift_mixture_1d(0.0), range(2, 6))
+                        chains[0.0].pairs(5).lambdas, range(2, 6))
 
     # table3: power-method rate of the shift mixtures
-    rows = []
-    for a in args.alpha:
-        Pa, mua = models.shift_mixture_1d(a)
-        rho = diagnostics.rho_hatP(Pa, mua)
-        rows.append([_fmt(a), _fmt(rho), _neglog(rho)])
-    _write_csv(os.path.join(args.out, "table3.csv"),
-               "alpha,rho_hatP,neglog10", rows)
+    rhos = [(a, chains[a].rho_hatP()) for a in args.alpha]
+    _write_csv(os.path.join(args.out, "table3.csv"), "alpha,rho_hatP,neglog10",
+               [[_fmt(a), _fmt(r), _neglog(r)] for a, r in rhos])
 
     _write_csv(os.path.join(args.out, "table4.csv"), *_table4_rows(args.k_list))
 
     # fig2: worst-case rate over stratum shifts
-    _write_csv(os.path.join(args.out, "fig2.csv"),
-               "n,alpha,max_rho,neglog10",
-               _shift_study_rows(args.alpha, args.max_n))
+    _write_csv(os.path.join(args.out, "fig2.csv"), _SHIFT_HEADER,
+               _shift_study_rows({a: chains[a] for a in args.alpha}, args.max_n))
 
     # fig3/4/5: two-way split sweeps for each mixing weight
     k = args.k_list[0]
     for fig, a in zip(("fig3", "fig4", "fig5"), args.alpha):
         _write_csv(os.path.join(args.out, f"{fig}.csv"),
-                   _SPLIT_HEADER, _split_sweep_rows(a, k))
+                   _SPLIT_HEADER, _split_sweep_rows(chains[a], k))
     return 0
 
 

@@ -68,7 +68,7 @@ def aggregate(nu, part):
     return out.reshape(part.n, m)
 
 
-def _weights(nu, part):
+def disaggregation_weights(nu, part):
     """D(nu)'s entries nu_j / (A nu)_{a(j)}; a massless stratum raises."""
     anu = aggregate(nu, part)
     if (anu <= 0).any():
@@ -77,12 +77,13 @@ def _weights(nu, part):
     return nu / anu[part.assignment]
 
 
-def disaggregate(z, nu, part):
-    """Spread coarse masses z over fine states proportionally to nu."""
+def disaggregate(z, w, part):
+    """D(nu) z, w = disaggregation_weights(nu, part): z spread over the
+    fine states proportionally to nu."""
     z = np.asarray(z, dtype=float)
     if z.shape[0] != part.n:
         raise PartitionError("disaggregate: coarse vector length mismatch")
-    return z[part.assignment] * _weights(np.asarray(nu, dtype=float), part)
+    return z[part.assignment] * w
 
 
 def coarse_pattern(P, part):
@@ -99,8 +100,9 @@ def coarse_pattern(P, part):
     return cols, rows * n + a[cols], AP[idx]
 
 
-def coarse_matrix(P, nu, part, pattern=None):
-    """The validated n x n coarse chain C(nu) = A P D(nu).
+def coarse_matrix(P, w, part, pattern=None):
+    """The validated n x n coarse chain C(nu) = A P D(nu), with D(nu)'s
+    entries w = disaggregation_weights(nu, part).
 
     C[i, a(j)] is the sum of (A P)_ij nu_j / (A nu)_{a(j)} over the
     nonzeros of A P, taken in one bincount; no N x n matrix is formed.
@@ -108,8 +110,7 @@ def coarse_matrix(P, nu, part, pattern=None):
     """
     cols, keys, vals = coarse_pattern(P, part) if pattern is None else pattern
     n = part.n
-    weights = _weights(nu.probs, part)
-    C = np.bincount(keys, weights=vals * weights[cols], minlength=n * n)
+    C = np.bincount(keys, weights=vals * w[cols], minlength=n * n)
     return validate(C.reshape(n, n))
 
 
@@ -124,7 +125,7 @@ def _positive(nu, who):
 def orthogonal_projection(nu, part):
     """Pi(nu) = D(nu) A, the l2(1/nu)-orthogonal projection on rg(D), as a
     LinearOperator: aggregate, then spread in the proportions of nu."""
-    w = _weights(_positive(nu, "orthogonal_projection"), part)[:, None]
+    w = disaggregation_weights(_positive(nu, "orthogonal_projection"), part)[:, None]
     return linalg.block_operator(
         part.fine_n, lambda X: w * aggregate(X, part)[part.assignment])
 
@@ -147,7 +148,7 @@ def coarse_projection(P, mu, nu, part):
     B[keys // n, cols] = -vals
     B[a, np.arange(N)] += 1.0
     B += aggregate(mu.probs, part)[:, None]
-    w = _weights(nu, part)
+    w = disaggregation_weights(nu, part)
     # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
     # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
     F = linalg.lu_solve(aggregate((B * w).T, part).T, B)

@@ -54,11 +54,6 @@ def rho_J_direct(J):
     return float(np.abs(linalg.leading_eigs(J, 1).values[0]))
 
 
-def rho_hatP(P, mu):
-    """rho(P - mu 1^T), the asymptotic rate of the power method."""
-    return rho_J_direct(deviation(P, mu))
-
-
 class ChainRates:
     """The rate quantities of one chain for any number of its partitions.
 
@@ -88,6 +83,12 @@ class ChainRates:
         if self._sd is None or len(self._sd.lambdas) < k:
             self._sd = pstar_p_spectrum(self.P, self.mu, k)
         return self._sd
+
+    def rho_hatP(self):
+        """rho(P - mu 1^T), the asymptotic rate of the power method."""
+        if self._rho_hatP is None:
+            self._rho_hatP = rho_J_direct(deviation(self.P, self.mu))
+        return self._rho_hatP
 
     def _projected(self, R, part):
         """(I - Pi) R (I - Pi) as a LinearOperator."""
@@ -154,12 +155,10 @@ class ChainRates:
 
     def report(self, part, k_list=(2,)):
         """All rate quantities for one aggregation."""
-        if self._rho_hatP is None:
-            self._rho_hatP = rho_hatP(self.P, self.mu)
         sd = self.pairs(min(max(k_list, default=1) + 1, self.P.n))
         return RateReport(
             sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
-            rho_hatP=self._rho_hatP,
+            rho_hatP=self.rho_hatP(),
             rho_J=self.rho_J(part),
             rho_exact_formula=float(np.max(np.abs(self.exact_formula(part)))),
             norm_bound=float(self.norm_bound(part)),

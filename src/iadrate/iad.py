@@ -10,7 +10,8 @@ drop below a relative tolerance.
 import numpy as np
 
 from .chain import ProbabilityVector, steady_state
-from .coarse import coarse_matrix, coarse_pattern, disaggregate
+from .coarse import (coarse_matrix, coarse_pattern, disaggregate,
+                     disaggregation_weights)
 from .errors import NonConvergenceError
 
 from collections import deque
@@ -46,11 +47,12 @@ def iad_step(P, part, mu_k, pattern=None):
     `pattern` is coarse_pattern(P, part), which iad_solve builds once."""
     if np.any(mu_k.probs <= 0):
         raise ValueError("iad_step: iterate must be strictly positive")
-    C = coarse_matrix(P, mu_k, part, pattern)
+    w = disaggregation_weights(mu_k.probs, part)
+    C = coarse_matrix(P, w, part, pattern)
     # a reducible coarse matrix raises, which is how the known
     # pathological aggregations surface
     z = steady_state(C)
-    half = disaggregate(z.probs, mu_k.probs, part)
+    half = disaggregate(z.probs, w, part)
     out = P.mat @ half
     return ProbabilityVector(probs=out / out.sum())
 

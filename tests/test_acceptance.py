@@ -207,7 +207,8 @@ def test_criterion_10_pathology_detection():
     fx = models.pathological_fixtures()
     # (i) reducible coarse matrix surfaces as an error
     P1, part1, mu01 = fx["reducible_coarse"]
-    C = coarse.coarse_matrix(P1, mu01, part1)
+    C = coarse.coarse_matrix(
+        P1, coarse.disaggregation_weights(mu01.probs, part1), part1)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
     # (ii) P^T P reducible: lambda_2 == 1

@@ -177,9 +177,27 @@ def test_split_sweep_prepares_the_chain_once(monkeypatch):
     # factor of P* P for all of them
     resolvents = count_calls(monkeypatch, linalg.resolvent, linalg)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
-    rows = cli._split_sweep_rows(0.05, 2)
+    rows = cli._split_sweep_rows(cli._prepare([0.05])[0.05], 2)
     assert len(rows) == 99
     assert len(resolvents) == 1 and len(tests) == 1
+
+
+def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
+    # the three 1D chains (alpha = 0, 0.05, 0.15) and the 2D chain are
+    # each prepared once for all seven CSVs: one build per 1D chain, one
+    # fine GTH solve per mixture, one reversibility test and one P* P
+    # eigensolve per chain
+    builds = count_calls(monkeypatch, models.shift_mixture_1d, models)
+    solves = count_calls(monkeypatch, chain.steady_state, chain, models, diagnostics)
+    tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
+    spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
+    assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0
+    assert len(builds) == 3
+    assert [args[0].n for args in solves] == [100, 100]
+    assert len(tests) == 4 and len(spectra) == 4
+    assert (tmp_path / "table1.csv").read_text().splitlines()[1:] == [
+        "2,0.999992,5.09", "3,0.991441,2.07", "4,0.986243,1.86",
+        "5,0.979807,1.69"]
 
 
 def test_table4_prepares_the_2d_chain_once(monkeypatch):

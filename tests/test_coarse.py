@@ -35,14 +35,15 @@ def test_disaggregate_conditional_split():
     # z = (0.4, 0.6) spreads to (0.4*0.2/0.5, 0.4*0.3/0.5, 0.6)
     part = two_state_partition()
     nu = np.array([0.2, 0.3, 0.5])
-    out = coarse.disaggregate(np.array([0.4, 0.6]), nu, part)
+    w = coarse.disaggregation_weights(nu, part)
+    out = coarse.disaggregate(np.array([0.4, 0.6]), w, part)
     assert np.allclose(out, [0.16, 0.24, 0.6])
 
 
 def test_disaggregate_zero_mass_stratum():
     part = two_state_partition()
     with pytest.raises(ZeroMassStratumError):
-        coarse.disaggregate(np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0]), part)
+        coarse.disaggregation_weights(np.array([0.0, 0.0, 1.0]), part)
 
 
 def test_aggregation_of_disaggregation_is_identity():
@@ -60,10 +61,11 @@ def test_coarse_matrix_stochastic_and_exact():
     P = random_chain(rng, 6)
     mu = chain.steady_state(P)
     part = coarse.singleton_partition(6)
-    C = coarse.coarse_matrix(P, mu, part)
+    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
     assert np.allclose(C.mat, P.mat, atol=1e-14)
     # trivial partition gives the 1x1 chain
-    C1 = coarse.coarse_matrix(P, mu, coarse.trivial_partition(6))
+    one = coarse.trivial_partition(6)
+    C1 = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, one), one)
     assert C1.mat.shape == (1, 1)
     assert C1.mat[0, 0] == pytest.approx(1.0)
 
@@ -74,7 +76,7 @@ def test_coarse_matrix_fixes_aggregated_mu():
     P = random_chain(rng, 10)
     mu = chain.steady_state(P)
     part = random_partition(rng, 10, 4)
-    C = coarse.coarse_matrix(P, mu, part)
+    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
     amu = coarse.aggregate(mu.probs, part)
     assert np.max(np.abs(C.mat @ amu - amu)) < 1e-12
 
@@ -132,9 +134,10 @@ def test_aggregate_disaggregate_roundtrip(N, n, seed):
     nu = rng.random(N) + 0.05
     z = rng.random(n)
     z /= z.sum()
-    back = coarse.aggregate(coarse.disaggregate(z, nu, part), part)
+    w = coarse.disaggregation_weights(nu, part)
+    back = coarse.aggregate(coarse.disaggregate(z, w, part), part)
     assert np.allclose(back, z, atol=1e-12)
-    assert np.allclose(coarse.disaggregate(coarse.aggregate(nu, part), nu, part),
+    assert np.allclose(coarse.disaggregate(coarse.aggregate(nu, part), w, part),
                        nu, atol=1e-12)
 
 
@@ -192,7 +195,8 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
               @ disaggregation_matrix(nu.probs, part))
     dense = chain.StochasticMatrix(mat=P.dense())
     csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
+    w = coarse.disaggregation_weights(nu.probs, part)
     for Q in (dense, csc):
-        assert np.max(np.abs(coarse.coarse_matrix(Q, nu, part).mat - oracle)) <= 1e-14
+        assert np.max(np.abs(coarse.coarse_matrix(Q, w, part).mat - oracle)) <= 1e-14
     gap = iad.iad_step(dense, part, nu).probs - iad.iad_step(csc, part, nu).probs
     assert np.max(np.abs(gap)) <= 1e-14

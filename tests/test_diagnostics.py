@@ -301,14 +301,24 @@ def _rates_on(rates, part):
         rates.angle(part, 2), rates.angle(part, 3))]
 
 
+def _same_pairs(a, b, k):
+    """The k leading P* P pairs of a and b are bitwise equal."""
+    return (np.array_equal(a.lambdas[:k], b.lambdas[:k])
+            and np.array_equal(a.right_vectors[:, :k], b.right_vectors[:, :k]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(10, 60),
        st.sampled_from(["reversible", "general", "nearly decomposable"]),
        st.integers(0, 10_000))
 def test_prepared_chain_matches_fresh_and_dense_oracle(N, kind, seed):
     # one ChainRates reused over several partitions gives exactly the
-    # numbers of a fresh one per partition; its exact formula and norm
-    # bound match the dense K, on the LAPACK and on the ARPACK branch
+    # numbers of a fresh one per partition, and so do its cached P* P
+    # pairs, asked for 5 then 3 or 3 then 5 (ARPACK converges at least
+    # _ARPACK_MIN_K of them, so k <= 6 gives the same pairs), and its
+    # cached rho(P_hat); its exact formula and norm bound match the dense
+    # K, on the LAPACK and on the ARPACK branch
+    assert 5 <= linalg._ARPACK_MIN_K
     rng = np.random.default_rng(seed)
     P, mu = _chain_of_kind(rng, N, kind)
     parts = [random_partition(rng, N, int(rng.integers(2, min(N, 8))))
@@ -319,6 +329,12 @@ def test_prepared_chain_matches_fresh_and_dense_oracle(N, kind, seed):
 
     def check():
         shared = diagnostics.ChainRates(P, mu)
+        fresh3 = diagnostics.ChainRates(P, mu).pairs(3)
+        assert _same_pairs(shared.pairs(5), diagnostics.ChainRates(P, mu).pairs(5), 5)
+        assert _same_pairs(shared.pairs(3), fresh3, 3)
+        ascending = diagnostics.ChainRates(P, mu)
+        assert _same_pairs(ascending.pairs(3), fresh3, 3)
+        assert _same_pairs(ascending.pairs(5), shared.pairs(5), 5)
         for part, norm, lam in zip(parts, expect, K_spectra):
             got = _rates_on(shared, part)
             fresh = _rates_on(diagnostics.ChainRates(P, mu), part)
@@ -330,8 +346,13 @@ def test_prepared_chain_matches_fresh_and_dense_oracle(N, kind, seed):
             nb = got[2][0]
             nb = nb if shared.reversible else nb * nb
             assert 1.0 / (1.0 - nb) == pytest.approx(norm, rel=1e-10)
+        rho = shared.rho_hatP()
+        assert shared.rho_hatP() == rho == diagnostics.ChainRates(P, mu).rho_hatP()
+        return rho
 
-    _on_both_branches(check)
+    Phat = P.dense() - mu.probs[:, None]
+    for rho in _on_both_branches(check):
+        assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(Phat))), abs=1e-8)
 
 
 def test_full_report_factors_once(bench_1d, monkeypatch):
@@ -388,7 +409,7 @@ def test_cyclic_shift_on_arpack_matches_lapack_or_raises(N):
     pieces = (
         report,
         lambda: diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part)),
-        lambda: diagnostics.rho_hatP(P, mu),
+        lambda: diagnostics.ChainRates(P, mu).rho_hatP(),
         lambda: chain.pstar_p_spectrum(P, mu, 4).lambdas,
         lambda: np.max(np.abs(diagnostics.ChainRates(P, mu).exact_formula(part))),
     )

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_calls,
     qr_null_vector,
     random_chain,
     random_partition,
@@ -42,7 +43,7 @@ def test_coarse_steady_state_singleton():
 def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
-    C = coarse.coarse_matrix(P, mu, part)
+    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
     z = chain.steady_state(C)
     # independent oracle: unit-sum kernel vector of I - C
     v = qr_null_vector(np.eye(2) - C.mat)
@@ -52,7 +53,7 @@ def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
 
 def test_coarse_steady_state_reducible_raises():
     P, part, mu0 = models.pathological_fixtures()["reducible_coarse"]
-    C = coarse.coarse_matrix(P, mu0, part)
+    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu0.probs, part), part)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
 
@@ -198,8 +199,9 @@ def test_error_recursion_is_exact_at_the_iterate():
 def _composed_step(P, part, nu):
     """One IAD step from the public functions, each building its own
     coarse pattern: the oracle for the solver's hoisted step."""
-    z = chain.steady_state(coarse.coarse_matrix(P, nu, part))
-    out = P.mat @ coarse.disaggregate(z.probs, nu.probs, part)
+    w = coarse.disaggregation_weights(nu.probs, part)
+    z = chain.steady_state(coarse.coarse_matrix(P, w, part))
+    out = P.mat @ coarse.disaggregate(z.probs, w, part)
     return out / out.sum()
 
 
@@ -249,14 +251,30 @@ def test_reducible_coarse_chains_raise_through_the_hoisted_step():
     with pytest.raises(ValueError):
         iad.iad_solve(P, part, mu0)
     with pytest.raises(ReducibleMatrixError):
-        chain.steady_state(coarse.coarse_matrix(P, mu0, part,
-                                                coarse.coarse_pattern(P, part)))
+        chain.steady_state(coarse.coarse_matrix(
+            P, coarse.disaggregation_weights(mu0.probs, part), part,
+            coarse.coarse_pattern(P, part)))
     # two closed classes, one stratum each: every positive iterate gives
     # the reducible coarse chain I, and the solve raises at its first step
     P2, _ = random_reversible_chain(np.random.default_rng(6), 12, 5, 0.0)
     part2 = coarse.make_partition(np.repeat([0, 1], [5, 7]), 2)
     with pytest.raises(ReducibleMatrixError):
         iad.iad_solve(P2, part2, uniform_pv(12))
+
+
+def test_each_step_aggregates_its_iterate_once(monkeypatch):
+    # C(nu) and the disaggregation share one D(nu): one stratum-mass
+    # bincount A nu per step
+    rng = np.random.default_rng(7)
+    P = random_chain(rng, 30)
+    masses = count_calls(monkeypatch, coarse.aggregate, coarse)
+    try:
+        _, trace = iad.iad_solve(P, random_partition(rng, 30, 4), uniform_pv(30),
+                                 iad.IadConfig(max_outer=5))
+    except NonConvergenceError as exc:
+        trace = exc.trace
+    assert len(trace.rel_changes) >= 2
+    assert len(masses) == len(trace.rel_changes)
 
 
 def test_empirical_rate_geometric_oracle():
