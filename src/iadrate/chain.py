@@ -168,7 +168,14 @@ def time_reversal(P, mu):
         raise ValueError("time_reversal: mu must be strictly positive")
     if np.max(np.abs(P.mat @ m - m)) > 1e-8:
         raise InconsistentSteadyStateError("time_reversal: mu is not invariant")
-    return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m)[None, :])
+    if not scipy.sparse.issparse(P.mat):
+        return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m)[None, :])
+    # column j of P is row j of P^T, so P's own arrays are P^T in CSR; each
+    # entry P_ij becomes (P_ij m_j) (1 / m_i), the order of the dense product
+    ptr, rows = P.mat.indptr, P.mat.indices
+    data = P.mat.data * m.repeat(np.diff(ptr)) * (1.0 / m)[rows]
+    return StochasticMatrix(
+        mat=scipy.sparse.csr_array((data, rows, ptr), shape=P.mat.shape))
 
 
 def deviation(P, mu):

@@ -19,7 +19,8 @@ from .chain import (
     steady_state,
     time_reversal,
 )
-from .coarse import coarse_projection, is_refinement, orthogonal_projection
+from .coarse import (aggregate, coarse_projection, is_refinement,
+                     orthogonal_projection)
 from .errors import (PartitionError, ReducibleMatrixError, RefinementError,
                      SingularMatrixError)
 
@@ -59,16 +60,21 @@ class ChainRates:
 
     What depends on the chain alone is computed at most once: the
     reversibility test here, and when first needed the resolvent factor
-    of P, for a non-reversible chain that of P* P, the leading P* P
-    eigenpairs and rho(P_hat). mu defaults to the steady state of P.
+    of P, for a non-reversible chain that of P* P, below
+    linalg.ARPACK_MIN_N the dense scaled resolvent Rs, the leading P* P
+    eigenpairs and rho(P_hat). The spectrum of the projected resolvent is
+    kept for the last partition, which rho_J, the exact formula and a
+    reversible chain's norm bound share. mu defaults to the steady state
+    of P.
     """
 
     def __init__(self, P, mu=None):
         self.P = P
         self.mu = steady_state(P) if mu is None else mu
         self.reversible = bool(is_reversible(P, self.mu))
-        self._sd = self._rho_hatP = None
+        self._sd = self._rho_hatP = self._Rs = None
         self._factors = {}
+        self._last = (None, None)
 
     def _resolvent(self, pstar_p):
         """The resolvent factor of P, or of P* P, built on first use."""
@@ -96,41 +102,85 @@ class ChainRates:
         E = lambda X: X - Pi @ X
         return linalg.block_operator(self.P.n, lambda X: E(R @ E(X)))
 
+    def _spectrum(self, part):
+        """The nonzero eigenvalues of K = (I - Pi) R (I - Pi), R the
+        resolvent of P (none for singleton strata, where Pi = I and K = 0);
+        kept for the last partition asked about.
+
+        Below linalg.ARPACK_MIN_N all of them, from the dense
+        M = (I - Pi~) Rs (I - Pi~) = diag(1/sqrt(mu)) K diag(sqrt(mu)), with
+        Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)) built once per chain and
+        Pi~ = U U^T for the unit sqrt(mu)-weighted stratum indicators U:
+        M is symmetric for a reversible chain, which takes eigvalsh. Above,
+        the _EXACT_FORMULA_K leading eigenvalues of the operator K.
+        Eigenvalues below _DROP_TOL times the largest modulus count as zero.
+        """
+        if part.n == self.P.n:
+            return np.zeros(0)
+        key = part.assignment.tobytes()
+        if self._last[0] == key:
+            return self._last[1]
+        if self.P.n < linalg.ARPACK_MIN_N:
+            m, a = self.mu.probs, part.assignment
+            if self._Rs is None:
+                sm = np.sqrt(m)
+                self._Rs = (self._resolvent(False) @ np.diag(sm)) / sm[:, None]
+            u = np.sqrt(m / aggregate(m, part)[a])[:, None]
+            E = lambda X: X - u * aggregate(u * X, part)[a]
+            M = E(E(self._Rs).T).T
+            if self.reversible:
+                # the projections cancel the large entries of Rs; what they
+                # leave of its roundoff can exceed leading_eigs' symmetry
+                # tolerance, which is relative to the much smaller M
+                M = 0.5 * (M + M.T)
+            lam = linalg.leading_eigs(M, None, symmetric=self.reversible).values
+        else:
+            K = self._projected(self._resolvent(False), part)
+            lam = linalg.leading_eigs(K, _EXACT_FORMULA_K).values
+        lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
+        self._last = (key, lam)
+        return lam
+
     def rho_J(self, part):
-        """rho(J(mu)), the largest eigenvalue modulus of the error operator."""
-        return rho_J_direct(error_operator(self.P, self.mu, part))
+        """rho(J(mu)), the largest eigenvalue modulus of the error operator:
+        below linalg.ARPACK_MIN_N from the exact formula, above by ARPACK
+        on J (rho_J_direct)."""
+        if self.P.n >= linalg.ARPACK_MIN_N:
+            return rho_J_direct(error_operator(self.P, self.mu, part))
+        return float(np.max(np.abs(self.exact_formula(part))))
 
     def exact_formula(self, part):
         """Spectrum of J(mu) from the projected resolvent.
 
         With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
         spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
-        with 0 adjoined. Numerically-zero eigenvalues of the rank-deficient
-        K (modulus below _DROP_TOL times K's largest) are discarded before
-        the map. Below linalg.ARPACK_MIN_N every eigenvalue of K is mapped;
-        above, its _EXACT_FORMULA_K leading ones, which give the eigenvalues
-        of J nearest 1 (for a reversible chain, rho(J) among them). Singleton
-        strata (Pi = I) give K = 0, so the spectrum is {0}.
+        with 0 adjoined. Below linalg.ARPACK_MIN_N every eigenvalue of J;
+        above, the images of K's _EXACT_FORMULA_K leading eigenvalues,
+        which are the eigenvalues of J nearest 1 (for a reversible chain,
+        rho(J) among them). Singleton strata give the spectrum {0}.
         """
-        if part.n == self.P.n:
-            return np.zeros(1)
-        K = self._projected(self._resolvent(False), part)
-        k = None if self.P.n < linalg.ARPACK_MIN_N else _EXACT_FORMULA_K
-        lam = linalg.leading_eigs(K, k).values
-        lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam[0])]
-        return np.concatenate([1.0 - 1.0 / lam, [0.0]])
+        return np.concatenate([1.0 - 1.0 / self._spectrum(part), [0.0]])
 
     def norm_bound(self, part):
-        """Norm bound on rho(J): 1 - 1/||K||_{1/mu}, K the projected
-        resolvent of Q = P for a reversible chain, where it is the largest
-        eigenvalue of J (rho(J) only if that has the largest modulus: on
-        reducible_coarse J has the spectrum {0, 0, -1/3}). Otherwise Q = P* P
-        puts P_hat* P_hat inside K, which bounds rho^2, and the square root
-        is returned. ||K||_{1/mu} is the largest eigenvalue of the symmetric
-        diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
+        """Norm bound on rho(J).
+
+        Reversible chain (K self-adjoint in l2(1/mu), J's spectrum real):
+        below linalg.ARPACK_MIN_N, max(1 - 1/lambda_max, 1/lambda_min - 1)
+        over the nonzero eigenvalues of K, which is rho(J); above,
+        1 - 1/||K||, the largest eigenvalue of J, which bounds rho(J) when
+        no eigenvalue of J lies below -(1 - 1/||K||), as when P has no
+        negative eigenvalue (K's nonzero eigenvalues are then >= 1 and
+        J's spectrum lies in [0, 1)). Non-reversible chain: K is built
+        from Q = P* P, which puts P_hat* P_hat inside it and bounds rho^2,
+        and sqrt(1 - 1/||K||) is returned. ||K|| in l2(1/mu) is the
+        largest eigenvalue of the symmetric diag(1/sqrt(mu)) K
+        diag(sqrt(mu)). Singleton strata give K = 0: 0.
         """
         if part.n == self.P.n:
             return 0.0
+        if self.reversible and self.P.n < linalg.ARPACK_MIN_N:
+            lam = self._spectrum(part)
+            return float(max(1.0 - 1.0 / lam.max(), 1.0 / lam.min() - 1.0))
         try:
             K = self._projected(self._resolvent(not self.reversible), part)
         except SingularMatrixError as exc:

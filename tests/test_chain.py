@@ -183,6 +183,26 @@ def test_time_reversal_keeps_csc(bench_1d):
     assert not chain.is_reversible(Q, chain.steady_state(Q))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.15])
+def test_time_reversal_is_bitwise_the_broadcast_formula(alpha):
+    # the sparse branch scales P's own arrays in the order of the dense
+    # broadcast m_i P_ji (1 / m_j): every entry equal bit for bit, on dense
+    # and on sparse input, random or banded
+    rng = np.random.default_rng(11)
+    Q = random_chain(rng, 40)
+    chains = [models.shift_mixture_1d(alpha), (Q, chain.steady_state(Q))]
+    for P, mu in chains:
+        m = mu.probs
+        expect = P.dense().T * m[:, None] * (1.0 / m)[None, :]
+        for stored in (P.dense(), scipy.sparse.csc_array(P.dense())):
+            R = chain.time_reversal(chain.StochasticMatrix(mat=stored), mu)
+            assert scipy.sparse.issparse(R.mat) == scipy.sparse.issparse(stored)
+            assert np.array_equal(R.dense(), expect)
+            if scipy.sparse.issparse(stored):
+                broadcast = stored.T * m[:, None] * (1.0 / m)[None, :]
+                assert np.array_equal(R.dense(), broadcast.toarray())
+
+
 def test_pstar_p_spectrum_structure():
     rng = np.random.default_rng(4)
     P = random_chain(rng, 10)

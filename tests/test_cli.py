@@ -113,6 +113,7 @@ def test_report_angle_bound_on_roundoff_negative_eigenvalue(tmp_path):
     rep = json.loads((tmp_path / "report.json").read_text(),
                      parse_constant=_no_nan)
     assert rep["rho_J"] == pytest.approx(1 / 3, abs=1e-12)
+    assert rep["norm_bound"] == pytest.approx(1 / 3, abs=1e-12)
     assert rep["angle_bound_k2"] == pytest.approx(5 / 9, abs=1e-12)
     assert rep["angle_bound_k2"] >= rep["rho_J"]
 
@@ -141,18 +142,23 @@ def test_shift_study_prints_negative_zero_alpha_as_zero(tmp_path):
 
 def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatch):
     # n = 1 gives the same trivial partition for all 101 shifts, n = 2
-    # gives 51 distinct ones: 52 evaluations, not 152
+    # gives 51 distinct ones: 52 dense spectra of the projected
+    # resolvent, one per distinct partition, not 152
     calls = []
-    error_operator = cli.diagnostics.error_operator
+    spectrum = diagnostics.ChainRates._spectrum
 
-    def counting(P, mu, part):
+    def counting(self, part):
         calls.append(part.assignment.tobytes())
-        return error_operator(P, mu, part)
+        return spectrum(self, part)
 
-    monkeypatch.setattr(cli.diagnostics, "error_operator", counting)
+    monkeypatch.setattr(diagnostics.ChainRates, "_spectrum", counting)
+    solves = count_calls(monkeypatch, linalg.leading_eigs, linalg)
     assert main(["shift-study", "--alpha", "0", "--max-n", "2",
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == len(set(calls)) == 52
+    assert len(solves) == 52
+    assert all(isinstance(args[0], np.ndarray) and args[0].shape == (100, 100)
+               for args in solves)
 
 
 def test_refine_study(tmp_path):
@@ -167,19 +173,21 @@ def test_refine_study(tmp_path):
 
 
 def test_refine_study_computes_each_rate_once(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
+    calls = count_calls(monkeypatch, linalg.leading_eigs, linalg)
     assert main(["refine-study", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 6  # one per partition
+    assert len(calls) == 6  # one dense spectrum per partition
 
 
 def test_split_sweep_prepares_the_chain_once(monkeypatch):
-    # 99 splits of a non-reversible chain: one reversibility test and one
-    # factor of P* P for all of them
+    # 99 splits of a non-reversible chain: one reversibility test, one
+    # factor of P (for rho_J) and one of P* P (for the norm bound) for all
+    # of them
     resolvents = count_calls(monkeypatch, linalg.resolvent, linalg)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
-    rows = cli._split_sweep_rows(cli._prepare([0.05])[0.05], 2)
-    assert len(rows) == 99
-    assert len(resolvents) == 1 and len(tests) == 1
+    rates = cli._prepare([0.05])[0.05]
+    rows = cli._split_sweep_rows(rates, 2)
+    assert len(rows) == 99 and len(tests) == 1
+    assert [args[0] is rates.P.mat for args in resolvents] == [True, False]
 
 
 def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
@@ -230,7 +238,8 @@ def test_refine_study_rate_growth_exits_1(tmp_path, monkeypatch, capsys):
     from iadrate import diagnostics
 
     rates = itertools.count(0.5, 0.01)  # every refinement looks worse
-    monkeypatch.setattr(diagnostics, "rho_J_direct", lambda J: next(rates))
+    monkeypatch.setattr(diagnostics.ChainRates, "rho_J",
+                        lambda self, part: next(rates))
     assert main(["refine-study", "--out", str(tmp_path)]) == 1
     assert "rate increased under refinement" in capsys.readouterr().err
 

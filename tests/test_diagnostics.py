@@ -283,8 +283,10 @@ def _dense_norm_K(P, mu, part):
        st.sampled_from(["reversible", "general", "nearly decomposable"]),
        st.integers(0, 10_000))
 def test_norm_bound_matches_dense_norm(N, kind, seed):
-    # norm_bound is 1 - 1/||K|| for a reversible chain, its square root
-    # otherwise; ||K|| recovered from it matches the dense norm
+    # norm_bound is 1 - 1/||K|| for a reversible chain (below
+    # ARPACK_MIN_N, rho(J): the same here, where no eigenvalue of J lies
+    # below -rho), its square root otherwise; ||K|| recovered from it
+    # matches the dense norm
     rng = np.random.default_rng(seed)
     P, mu = _chain_of_kind(rng, N, kind)
     part = random_partition(rng, N, int(rng.integers(2, min(N, 8))))
@@ -390,6 +392,60 @@ def _outcome(fn):
         return np.atleast_1d(np.asarray(fn(), dtype=float))
     except IadError as exc:
         return exc
+
+
+def _partition_of_shape(rng, N, shape):
+    if shape == "trivial":
+        return coarse.trivial_partition(N)
+    if shape == "singleton":
+        return coarse.singleton_partition(N)
+    return random_partition(rng, N, int(rng.integers(1, N)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 60),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.sampled_from(["random", "trivial", "singleton"]),
+       st.integers(0, 10_000))
+def test_dense_rho_J_matches_direct_oracle(N, kind, shape, seed):
+    # below ARPACK_MIN_N rho_J and the exact formula come from one dense
+    # spectrum of the projected resolvent; eigvals of the dense J is the
+    # oracle for both
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    part = _partition_of_shape(rng, N, shape)
+    rates = diagnostics.ChainRates(P, mu)
+    J = diagnostics.error_operator(P, mu, part) @ np.eye(N)
+    assert rates.rho_J(part) == pytest.approx(diagnostics.rho_J_direct(J), abs=1e-10)
+    formula = rates.exact_formula(part)
+    padded = np.concatenate([formula, np.zeros(N - len(formula))])
+    assert np.max(np.abs(sorted_by_modulus(np.linalg.eigvals(J))
+                         - sorted_by_modulus(padded))) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["reducible_coarse", "marek", "periodic_shift"])
+def test_dense_rho_J_on_pathological_fixtures_matches_direct(name):
+    P, part, _ = models.pathological_fixtures()[name]
+    mu = chain.steady_state(P)
+    dense = _outcome(lambda: diagnostics.ChainRates(P, mu).rho_J(part))
+    direct = _outcome(lambda: diagnostics.rho_J_direct(
+        diagnostics.error_operator(P, mu, part)))
+    if isinstance(direct, IadError):
+        assert type(dense) is type(direct)
+    else:
+        assert not isinstance(dense, IadError), dense
+        assert np.allclose(dense, direct, rtol=0.0, atol=1e-12)
+
+
+def test_norm_bound_is_rho_J_on_reducible_coarse():
+    # J has the spectrum {0, 0, -1/3}: the norm bound of this reversible
+    # chain is the modulus 1/3, not the largest eigenvalue -1/3
+    P, part, _ = models.pathological_fixtures()["reducible_coarse"]
+    rates = diagnostics.ChainRates(P)
+    assert rates.reversible
+    assert sorted(rates.exact_formula(part)) == pytest.approx([-1 / 3, 0.0], abs=1e-12)
+    assert rates.norm_bound(part) == pytest.approx(1 / 3, abs=1e-12)
+    assert rates.norm_bound(part) >= rates.rho_J(part)
 
 
 @pytest.mark.parametrize("N", [12, 13, 20, 33, 60])
