@@ -61,18 +61,19 @@ class ChainRates:
     What depends on the chain alone is computed at most once: the
     reversibility test here, and when first needed the resolvent factor
     of P, for a non-reversible chain that of P* P, below
-    linalg.ARPACK_MIN_N the dense scaled resolvent Rs, the leading P* P
-    eigenpairs and rho(P_hat). The spectrum of the projected resolvent is
-    kept for the last partition, which rho_J, the exact formula and a
-    reversible chain's norm bound share. mu defaults to the steady state
-    of P.
+    linalg.ARPACK_MIN_N the dense scaled resolvent Rs, above it for a
+    reversible chain the floor of the rho_J certificate, the leading
+    P* P eigenpairs and rho(P_hat). The spectrum of the projected
+    resolvent is kept for the last partition, which rho_J, the exact
+    formula and a reversible chain's norm bound share. mu defaults to
+    the steady state of P.
     """
 
     def __init__(self, P, mu=None):
         self.P = P
         self.mu = steady_state(P) if mu is None else mu
         self.reversible = bool(is_reversible(P, self.mu))
-        self._sd = self._rho_hatP = self._Rs = None
+        self._sd = self._rho_hatP = self._Rs = self._floor = None
         self._factors = {}
         self._last = (None, None)
 
@@ -91,9 +92,15 @@ class ChainRates:
         return self._sd
 
     def rho_hatP(self):
-        """rho(P - mu 1^T), the asymptotic rate of the power method."""
+        """rho(P - mu 1^T), the asymptotic rate of the power method. For a
+        reversible chain from linalg.ARPACK_MIN_N on it is sqrt(lambda_2)
+        of P* P = P^2, from the cached pairs; otherwise the eigensolve of
+        P_hat (rho_J_direct)."""
         if self._rho_hatP is None:
-            self._rho_hatP = rho_J_direct(deviation(self.P, self.mu))
+            if self.reversible and self.P.n >= linalg.ARPACK_MIN_N:
+                self._rho_hatP = float(np.sqrt(self.pairs(2).lambdas[1]))
+            else:
+                self._rho_hatP = rho_J_direct(deviation(self.P, self.mu))
         return self._rho_hatP
 
     def _projected(self, R, part):
@@ -101,6 +108,22 @@ class ChainRates:
         Pi = orthogonal_projection(self.mu, part)
         E = lambda X: X - Pi @ X
         return linalg.block_operator(self.P.n, lambda X: E(R @ E(X)))
+
+    def _scaled(self, K):
+        """diag(1/sqrt(mu)) K diag(sqrt(mu)) as a LinearOperator, symmetric
+        when K is self-adjoint in l2(1/mu)."""
+        sw = np.sqrt(1.0 / self.mu.probs)[:, None]
+        return linalg.block_operator(self.P.n, lambda X: sw * (K @ (X / sw)))
+
+    def _rho_floor(self):
+        """max(0, 1 - 2 min_j P_jj), computed once: for a reversible chain
+        no eigenvalue of J lies below minus it. R has the eigenvalues 1 and
+        1/(1 - p), p in sigma(P), so by Courant-Fischer every eigenvalue
+        of J is at least min(0, p_min), and Gershgorin on the columns of P
+        gives p_min >= 2 min_j P_jj - 1."""
+        if self._floor is None:
+            self._floor = max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min()))
+        return self._floor
 
     def _spectrum(self, part):
         """The nonzero eigenvalues of K = (I - Pi) R (I - Pi), R the
@@ -112,8 +135,11 @@ class ChainRates:
         Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)) built once per chain and
         Pi~ = U U^T for the unit sqrt(mu)-weighted stratum indicators U:
         M is symmetric for a reversible chain, which takes eigvalsh. Above,
-        the _EXACT_FORMULA_K leading eigenvalues of the operator K.
-        Eigenvalues below _DROP_TOL times the largest modulus count as zero.
+        the _EXACT_FORMULA_K leading eigenvalues of the operator K; for a
+        reversible chain the largest of the symmetric
+        diag(1/sqrt(mu)) K diag(sqrt(mu)), which are K's largest moduli
+        too, R being positive definite in l2(1/mu). Eigenvalues below
+        _DROP_TOL times the largest modulus count as zero.
         """
         if part.n == self.P.n:
             return np.zeros(0)
@@ -136,18 +162,31 @@ class ChainRates:
             lam = linalg.leading_eigs(M, None, symmetric=self.reversible).values
         else:
             K = self._projected(self._resolvent(False), part)
-            lam = linalg.leading_eigs(K, _EXACT_FORMULA_K).values
+            if self.reversible:
+                lam = linalg.leading_eigs(self._scaled(K), _EXACT_FORMULA_K,
+                                          symmetric=True).values
+            else:
+                lam = linalg.leading_eigs(K, _EXACT_FORMULA_K).values
         lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
         self._last = (key, lam)
         return lam
 
     def rho_J(self, part):
         """rho(J(mu)), the largest eigenvalue modulus of the error operator:
-        below linalg.ARPACK_MIN_N from the exact formula, above by ARPACK
-        on J (rho_J_direct)."""
-        if self.P.n >= linalg.ARPACK_MIN_N:
-            return rho_J_direct(error_operator(self.P, self.mu, part))
-        return float(np.max(np.abs(self.exact_formula(part))))
+        0 for singleton strata (J = 0); below linalg.ARPACK_MIN_N from the
+        exact formula. Above, for a reversible chain the norm bound
+        1 - 1/lambda_max of K when that is at least _rho_floor(), which
+        then no eigenvalue of J undercuts; otherwise, and for a
+        non-reversible chain, by ARPACK on J (rho_J_direct)."""
+        if part.n == self.P.n:
+            return 0.0
+        if self.P.n < linalg.ARPACK_MIN_N:
+            return float(np.max(np.abs(self.exact_formula(part))))
+        if self.reversible:
+            rho = self.norm_bound(part)
+            if rho >= self._rho_floor():
+                return rho
+        return rho_J_direct(error_operator(self.P, self.mu, part))
 
     def exact_formula(self, part):
         """Spectrum of J(mu) from the projected resolvent.
@@ -157,42 +196,43 @@ class ChainRates:
         with 0 adjoined. Below linalg.ARPACK_MIN_N every eigenvalue of J;
         above, the images of K's _EXACT_FORMULA_K leading eigenvalues,
         which are the eigenvalues of J nearest 1 (for a reversible chain,
-        rho(J) among them). Singleton strata give the spectrum {0}.
+        rho(J) among them when rho_J certifies it). Singleton strata give
+        the spectrum {0}.
         """
         return np.concatenate([1.0 - 1.0 / self._spectrum(part), [0.0]])
 
     def norm_bound(self, part):
         """Norm bound on rho(J).
 
-        Reversible chain (K self-adjoint in l2(1/mu), J's spectrum real):
-        below linalg.ARPACK_MIN_N, max(1 - 1/lambda_max, 1/lambda_min - 1)
-        over the nonzero eigenvalues of K, which is rho(J); above,
-        1 - 1/||K||, the largest eigenvalue of J, which bounds rho(J) when
-        no eigenvalue of J lies below -(1 - 1/||K||), as when P has no
-        negative eigenvalue (K's nonzero eigenvalues are then >= 1 and
-        J's spectrum lies in [0, 1)). Non-reversible chain: K is built
-        from Q = P* P, which puts P_hat* P_hat inside it and bounds rho^2,
-        and sqrt(1 - 1/||K||) is returned. ||K|| in l2(1/mu) is the
-        largest eigenvalue of the symmetric diag(1/sqrt(mu)) K
-        diag(sqrt(mu)). Singleton strata give K = 0: 0.
+        Reversible chain (K self-adjoint in l2(1/mu), J's spectrum real),
+        from the spectrum rho_J reads: below linalg.ARPACK_MIN_N,
+        max(1 - 1/lambda_max, 1/lambda_min - 1) over the nonzero
+        eigenvalues of K, which is rho(J); above, 1 - 1/||K||, the largest
+        eigenvalue of J. That bounds rho(J), and equals it, when it is at
+        least max(0, 1 - 2 min_j P_jj), the certificate rho_J checks: no
+        eigenvalue of J then lies below -(1 - 1/||K||). Non-reversible
+        chain: K is built from Q = P* P, which puts P_hat* P_hat inside it
+        and bounds rho^2, and sqrt(1 - 1/||K||) is returned. ||K|| in
+        l2(1/mu) is the largest eigenvalue of the symmetric
+        diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
         """
         if part.n == self.P.n:
             return 0.0
-        if self.reversible and self.P.n < linalg.ARPACK_MIN_N:
+        if self.reversible:
             lam = self._spectrum(part)
-            return float(max(1.0 - 1.0 / lam.max(), 1.0 / lam.min() - 1.0))
+            nb = 1.0 - 1.0 / float(lam.max())
+            if self.P.n < linalg.ARPACK_MIN_N:
+                nb = max(nb, 1.0 / float(lam.min()) - 1.0)
+            return nb
         try:
-            K = self._projected(self._resolvent(not self.reversible), part)
+            K = self._projected(self._resolvent(True), part)
         except SingularMatrixError as exc:
-            if self.reversible:
-                raise
             raise SingularMatrixError(
                 "norm_bound: P* P is reducible (lambda_2 = 1); the non-reversible "
                 "norm bound is undefined") from exc
-        sw = np.sqrt(1.0 / self.mu.probs)[:, None]
-        T = linalg.block_operator(self.P.n, lambda X: sw * (K @ (X / sw)))
+        T = self._scaled(K)
         nb = 1.0 - 1.0 / float(linalg.leading_eigs(T, 1, symmetric=True).values[0])
-        return nb if self.reversible else float(np.sqrt(nb))
+        return float(np.sqrt(nb))
 
     def angle(self, part, k):
         """(sin^2 theta, angle bound) for the k leading eigenvectors of

@@ -27,14 +27,16 @@ def random_chain(rng, N, diag_boost=0.5):
     return chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
 
 
-def random_reversible_chain(rng, N, split=0, coupling=1.0):
+def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9):
     """Random chain in detailed balance with a random positive measure.
 
     P_ij = c K_ij mu_i for symmetric K > 0 keeps P_ij mu_j symmetric;
     the column slack goes on the diagonal, which preserves the balance.
-    Moves between [0, split) and [split, N) are scaled by `coupling`: a
-    small one makes the chain nearly decomposable, zero splits it into
-    two closed classes.
+    c makes the largest column sum of c K_ij mu_i equal `fill`, so the
+    smallest diagonal entry is 1 - fill (0 at fill = 1). Moves between
+    [0, split) and [split, N) are scaled by `coupling`: a small one
+    makes the chain nearly decomposable, zero splits it into two closed
+    classes.
     """
     mu = rng.random(N) + 0.1
     mu /= mu.sum()
@@ -43,7 +45,7 @@ def random_reversible_chain(rng, N, split=0, coupling=1.0):
     K[:split, split:] *= coupling
     K[split:, :split] *= coupling
     P = K * mu[:, None]
-    c = 0.9 / P.sum(axis=0).max()
+    c = fill / P.sum(axis=0).max()
     P = c * P
     P[np.arange(N), np.arange(N)] += 1.0 - P.sum(axis=0)
     return chain.StochasticMatrix(mat=P), chain.ProbabilityVector(probs=mu)

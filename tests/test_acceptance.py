@@ -85,7 +85,7 @@ def test_criterion_03_table4_2d_rates(bench_2d):
         assert rep.angle_bounds[2][0] == pytest.approx(s2, abs=2e-4)
         assert rep.angle_bounds[2][1] == pytest.approx(b2, abs=5e-4)
         assert rep.angle_bounds[3][1] == pytest.approx(b3, abs=5e-4)
-    assert time.perf_counter() - t0 < 60.0
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_04_split_sweep_shape(bench_1d):

@@ -370,7 +370,8 @@ def test_full_report_factors_once(bench_1d, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["reversible", "general"])
 def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
-    # Pi = I, so K = 0 and J = 0: no eigenvalue of K to map or invert
+    # Pi = I, so K = 0 and J = 0: no eigenvalue of K to map or invert,
+    # and rho_J is exactly 0, not ARPACK's roundoff on the zero operator
     rng = np.random.default_rng(9)
     P, mu = _chain_of_kind(rng, 30, kind)
     part = coarse.singleton_partition(30)
@@ -378,13 +379,12 @@ def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
 
     def quantities():
         rep = diagnostics.full_report(P, part, [2, 3], mu)
-        assert rep.rho_J < 1e-10
         return (list(diagnostics.ChainRates(P, mu).exact_formula(part)),
                 diagnostics.norm_bound(P, mu, part), rep.norm_bound,
-                rep.rho_exact_formula)
+                rep.rho_exact_formula, rep.rho_J)
 
     for got in _on_both_branches(quantities):
-        assert got == ([0.0], 0.0, 0.0, 0.0)
+        assert got == ([0.0], 0.0, 0.0, 0.0, 0.0)
 
 
 def _outcome(fn):
@@ -446,6 +446,68 @@ def test_norm_bound_is_rho_J_on_reducible_coarse():
     assert sorted(rates.exact_formula(part)) == pytest.approx([-1 / 3, 0.0], abs=1e-12)
     assert rates.norm_bound(part) == pytest.approx(1 / 3, abs=1e-12)
     assert rates.norm_bound(part) >= rates.rho_J(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 60), st.floats(0.5, 1.0), st.integers(0, 10_000))
+def test_reversible_J_spectrum_lies_above_the_gershgorin_floor(N, fill, seed):
+    # the lemma behind ChainRates.rho_J's certificate: every eigenvalue of
+    # J is at least min(0, p_min), p_min >= 2 min_j P_jj - 1; fill near 1
+    # puts diagonal entries near 0, where the floor reaches -1
+    rng = np.random.default_rng(seed)
+    P, mu = random_reversible_chain(rng, N, fill=fill)
+    part = _partition_of_shape(rng, N, "random")
+    floor = 2.0 * P.dense().diagonal().min() - 1.0
+    eig = np.linalg.eigvals(diagnostics.error_operator(P, mu, part) @ np.eye(N))
+    assert np.max(np.abs(eig.imag)) < 1e-8
+    assert eig.real.min() >= min(0.0, floor) - 1e-10
+    if eig.real.max() >= max(0.0, -floor):
+        assert eig.real.max() == pytest.approx(np.max(np.abs(eig)), abs=1e-10)
+
+
+def test_table4_reports_read_one_symmetric_spectrum(bench_2d, monkeypatch):
+    # both table-4 partitions pass the certificate, so neither report
+    # takes an eigensolve of J or of P_hat; those are the oracles here
+    P, mu = bench_2d
+    oracle = diagnostics.rho_J_direct
+    direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
+    parts = (models.stripes2d(50, 3), models.grid2d(50, 6))
+    reps = [diagnostics.full_report(P, part, [2, 3], mu) for part in parts]
+    assert direct == []
+    rho_hat = oracle(chain.deviation(P, mu))
+    for rep, part in zip(reps, parts):
+        assert rep.reversible
+        assert rep.rho_J == pytest.approx(
+            oracle(diagnostics.error_operator(P, mu, part)), abs=1e-8)
+        assert rep.rho_hatP == pytest.approx(rho_hat, abs=1e-8)
+        assert rep.rho_hatP == rep.sqrt_lambda2
+    assert diagnostics.ChainRates(P, mu).rho_J(coarse.singleton_partition(P.n)) == 0.0
+
+
+@pytest.mark.parametrize("case", ["zero diagonal", "lazy cycle"])
+def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
+    # a zero diagonal entry puts the certificate's floor at 1, which no
+    # rate reaches; on the lazy cycle in strata of two, J has the
+    # eigenvalue -0.9 of the alternating mode and 0.05 as its largest,
+    # under the floor 0.9. On the ARPACK branch rho_J is then one
+    # rho_J_direct call, and the dense answer
+    rng = np.random.default_rng(11)
+    if case == "zero diagonal":
+        P, mu = random_reversible_chain(rng, 40, fill=1.0)
+        part = random_partition(rng, 40, 4)
+    else:
+        S = np.roll(np.eye(40), 1, axis=0)
+        P = chain.StochasticMatrix(mat=0.05 * np.eye(40) + 0.475 * (S + S.T))
+        mu = chain.ProbabilityVector(probs=np.full(40, 1 / 40))
+        part = models.uniform1d(40, 20, 0)
+    dense = diagnostics.full_report(P, part, [2, 3], mu)
+    monkeypatch.setattr(linalg, "ARPACK_MIN_N", 10)
+    direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
+    rep = diagnostics.full_report(P, part, [2, 3], mu)
+    assert rep.reversible and len(direct) == 1
+    assert rep.rho_J == pytest.approx(dense.rho_J, abs=1e-8)
+    if case == "lazy cycle":
+        assert rep.rho_J == pytest.approx(0.9, abs=1e-8)
 
 
 @pytest.mark.parametrize("N", [12, 13, 20, 33, 60])
