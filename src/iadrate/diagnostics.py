@@ -59,31 +59,40 @@ class ChainRates:
     """The rate quantities of one chain for any number of its partitions.
 
     What depends on the chain alone is computed at most once: the
-    reversibility test here, and when first needed the resolvent factor
-    of P, for a non-reversible chain that of P* P, below
-    linalg.ARPACK_MIN_N the dense scaled resolvent Rs, above it for a
-    reversible chain the floor of the rho_J certificate, the leading
-    P* P eigenpairs and rho(P_hat). The spectrum of the projected
-    resolvent is kept for the last partition, which rho_J, the exact
-    formula and a reversible chain's norm bound share. mu defaults to
-    the steady state of P.
+    reversibility test here, and when first needed the scaled resolvent
+    of P, for a non-reversible chain that of P* P, the leading P* P
+    eigenpairs and rho(P_hat). What depends on the partition is kept
+    for the last one asked about: the spectra of the projected
+    resolvents, which rho_J, the exact formula and the norm bound read,
+    and rho_J. mu defaults to the steady state of P.
     """
 
     def __init__(self, P, mu=None):
         self.P = P
         self.mu = steady_state(P) if mu is None else mu
         self.reversible = bool(is_reversible(P, self.mu))
-        self._sd = self._rho_hatP = self._Rs = self._floor = None
-        self._factors = {}
-        self._last = (None, None)
+        self._sd = self._rho_hatP = None
+        self._Rs = {}
+        self._last = (None, {})
 
-    def _resolvent(self, pstar_p):
-        """The resolvent factor of P, or of P* P, built on first use."""
-        if pstar_p not in self._factors:
+    def _scaled_resolvent(self, pstar_p):
+        """Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)), R the resolvent of P, or
+        of P* P, built on first use: a dense array below
+        linalg.ARPACK_MIN_N (80 KB at N = 100), an operator on the sparse
+        LU factor from there on. Rs is symmetric when R is self-adjoint
+        in l2(1/mu), as for a reversible P and for P* P."""
+        if pstar_p not in self._Rs:
             Q = (time_reversal(self.P, self.mu).mat @ self.P.mat if pstar_p
                  else self.P.mat)
-            self._factors[pstar_p] = linalg.resolvent(Q, self.mu.probs)
-        return self._factors[pstar_p]
+            R = linalg.resolvent(Q, self.mu.probs)
+            sm = np.sqrt(self.mu.probs)
+            if self.P.n < linalg.ARPACK_MIN_N:
+                Rs = (R @ np.diag(sm)) / sm[:, None]
+            else:
+                smc = sm[:, None]
+                Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
+            self._Rs[pstar_p] = Rs
+        return self._Rs[pstar_p]
 
     def pairs(self, k):
         """At least k leading eigenpairs of P* P, solved again only for more."""
@@ -93,100 +102,84 @@ class ChainRates:
 
     def rho_hatP(self):
         """rho(P - mu 1^T), the asymptotic rate of the power method. For a
-        reversible chain from linalg.ARPACK_MIN_N on it is sqrt(lambda_2)
-        of P* P = P^2, from the cached pairs; otherwise the eigensolve of
-        P_hat (rho_J_direct)."""
+        reversible chain it is sqrt(lambda_2) of P* P = P^2, from the
+        cached pairs; otherwise the eigensolve of P_hat (rho_J_direct)."""
         if self._rho_hatP is None:
-            if self.reversible and self.P.n >= linalg.ARPACK_MIN_N:
+            if self.reversible:
                 self._rho_hatP = float(np.sqrt(self.pairs(2).lambdas[1]))
             else:
                 self._rho_hatP = rho_J_direct(deviation(self.P, self.mu))
         return self._rho_hatP
 
-    def _projected(self, R, part):
-        """(I - Pi) R (I - Pi) as a LinearOperator."""
-        Pi = orthogonal_projection(self.mu, part)
-        E = lambda X: X - Pi @ X
-        return linalg.block_operator(self.P.n, lambda X: E(R @ E(X)))
+    def _memo(self, part):
+        """The per-partition cache, emptied when another partition comes."""
+        key = part.assignment.tobytes()
+        if self._last[0] != key:
+            self._last = (key, {})
+        return self._last[1]
 
-    def _scaled(self, K):
-        """diag(1/sqrt(mu)) K diag(sqrt(mu)) as a LinearOperator, symmetric
-        when K is self-adjoint in l2(1/mu)."""
-        sw = np.sqrt(1.0 / self.mu.probs)[:, None]
-        return linalg.block_operator(self.P.n, lambda X: sw * (K @ (X / sw)))
-
-    def _rho_floor(self):
-        """max(0, 1 - 2 min_j P_jj), computed once: for a reversible chain
-        no eigenvalue of J lies below minus it. R has the eigenvalues 1 and
-        1/(1 - p), p in sigma(P), so by Courant-Fischer every eigenvalue
-        of J is at least min(0, p_min), and Gershgorin on the columns of P
-        gives p_min >= 2 min_j P_jj - 1."""
-        if self._floor is None:
-            self._floor = max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min()))
-        return self._floor
-
-    def _spectrum(self, part):
+    def _spectrum(self, part, pstar_p=False):
         """The nonzero eigenvalues of K = (I - Pi) R (I - Pi), R the
-        resolvent of P (none for singleton strata, where Pi = I and K = 0);
-        kept for the last partition asked about.
+        resolvent of P, or of P* P when pstar_p (none for singleton
+        strata, where Pi = I and K = 0).
 
-        Below linalg.ARPACK_MIN_N all of them, from the dense
-        M = (I - Pi~) Rs (I - Pi~) = diag(1/sqrt(mu)) K diag(sqrt(mu)), with
-        Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)) built once per chain and
-        Pi~ = U U^T for the unit sqrt(mu)-weighted stratum indicators U:
-        M is symmetric for a reversible chain, which takes eigvalsh. Above,
-        the _EXACT_FORMULA_K leading eigenvalues of the operator K; for a
-        reversible chain the largest of the symmetric
-        diag(1/sqrt(mu)) K diag(sqrt(mu)), which are K's largest moduli
-        too, R being positive definite in l2(1/mu). Eigenvalues below
-        _DROP_TOL times the largest modulus count as zero.
+        They are those of M = (I - Pi~) Rs (I - Pi~) =
+        diag(1/sqrt(mu)) K diag(sqrt(mu)), Pi~ = U U^T for the unit
+        sqrt(mu)-weighted stratum indicators U, which is symmetric when Rs
+        is. With a dense Rs all of them, from the dense M; otherwise the
+        _EXACT_FORMULA_K leading ones of the operator M (for a symmetric M
+        its largest, which are its largest moduli too, R being positive
+        definite in l2(1/mu)). Eigenvalues below _DROP_TOL times the
+        largest modulus count as zero.
         """
         if part.n == self.P.n:
             return np.zeros(0)
-        key = part.assignment.tobytes()
-        if self._last[0] == key:
-            return self._last[1]
-        if self.P.n < linalg.ARPACK_MIN_N:
+        memo = self._memo(part)
+        if pstar_p not in memo:
+            Rs = self._scaled_resolvent(pstar_p)
+            symmetric = self.reversible or pstar_p
             m, a = self.mu.probs, part.assignment
-            if self._Rs is None:
-                sm = np.sqrt(m)
-                self._Rs = (self._resolvent(False) @ np.diag(sm)) / sm[:, None]
             u = np.sqrt(m / aggregate(m, part)[a])[:, None]
             E = lambda X: X - u * aggregate(u * X, part)[a]
-            M = E(E(self._Rs).T).T
-            if self.reversible:
-                # the projections cancel the large entries of Rs; what they
-                # leave of its roundoff can exceed leading_eigs' symmetry
-                # tolerance, which is relative to the much smaller M
-                M = 0.5 * (M + M.T)
-            lam = linalg.leading_eigs(M, None, symmetric=self.reversible).values
-        else:
-            K = self._projected(self._resolvent(False), part)
-            if self.reversible:
-                lam = linalg.leading_eigs(self._scaled(K), _EXACT_FORMULA_K,
-                                          symmetric=True).values
+            if isinstance(Rs, np.ndarray):
+                M, k = E(E(Rs).T).T, None
+                if symmetric:
+                    # the projections cancel the large entries of Rs; what
+                    # they leave of its roundoff can exceed leading_eigs'
+                    # symmetry tolerance, which is relative to the much
+                    # smaller M
+                    M = 0.5 * (M + M.T)
             else:
-                lam = linalg.leading_eigs(K, _EXACT_FORMULA_K).values
-        lam = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
-        self._last = (key, lam)
-        return lam
+                M = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X)))
+                k = _EXACT_FORMULA_K
+            lam = linalg.leading_eigs(M, k, symmetric=symmetric).values
+            memo[pstar_p] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
+        return memo[pstar_p]
 
     def rho_J(self, part):
         """rho(J(mu)), the largest eigenvalue modulus of the error operator:
         0 for singleton strata (J = 0); below linalg.ARPACK_MIN_N from the
-        exact formula. Above, for a reversible chain the norm bound
-        1 - 1/lambda_max of K when that is at least _rho_floor(), which
-        then no eigenvalue of J undercuts; otherwise, and for a
-        non-reversible chain, by ARPACK on J (rho_J_direct)."""
+        exact formula, which is then J's whole spectrum. Above, for a
+        reversible chain 1 - 1/lambda_max of K when that is at least
+        max(0, 1 - 2 min_j P_jj): R has the eigenvalues 1 and 1/(1 - p),
+        p in sigma(P), so by Courant-Fischer every eigenvalue of J is at
+        least min(0, p_min), and Gershgorin on the columns of P gives
+        p_min >= 2 min_j P_jj - 1. Otherwise, and for a non-reversible
+        chain, ARPACK on J (rho_J_direct). Kept for the last partition."""
         if part.n == self.P.n:
             return 0.0
-        if self.P.n < linalg.ARPACK_MIN_N:
-            return float(np.max(np.abs(self.exact_formula(part))))
-        if self.reversible:
-            rho = self.norm_bound(part)
-            if rho >= self._rho_floor():
-                return rho
-        return rho_J_direct(error_operator(self.P, self.mu, part))
+        memo = self._memo(part)
+        if "rho_J" not in memo:
+            if self.P.n < linalg.ARPACK_MIN_N:
+                rho = float(np.max(np.abs(self.exact_formula(part))))
+            else:
+                # a non-reversible chain has no certificate: -1 fails it
+                rho = (1.0 - 1.0 / float(self._spectrum(part).max())
+                       if self.reversible else -1.0)
+                if rho < max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min())):
+                    rho = rho_J_direct(error_operator(self.P, self.mu, part))
+            memo["rho_J"] = rho
+        return memo["rho_J"]
 
     def exact_formula(self, part):
         """Spectrum of J(mu) from the projected resolvent.
@@ -204,35 +197,22 @@ class ChainRates:
     def norm_bound(self, part):
         """Norm bound on rho(J).
 
-        Reversible chain (K self-adjoint in l2(1/mu), J's spectrum real),
-        from the spectrum rho_J reads: below linalg.ARPACK_MIN_N,
-        max(1 - 1/lambda_max, 1/lambda_min - 1) over the nonzero
-        eigenvalues of K, which is rho(J); above, 1 - 1/||K||, the largest
-        eigenvalue of J. That bounds rho(J), and equals it, when it is at
-        least max(0, 1 - 2 min_j P_jj), the certificate rho_J checks: no
-        eigenvalue of J then lies below -(1 - 1/||K||). Non-reversible
-        chain: K is built from Q = P* P, which puts P_hat* P_hat inside it
-        and bounds rho^2, and sqrt(1 - 1/||K||) is returned. ||K|| in
-        l2(1/mu) is the largest eigenvalue of the symmetric
-        diag(1/sqrt(mu)) K diag(sqrt(mu)). Singleton strata give K = 0: 0.
+        Reversible chain: J is self-adjoint in l2(1/mu), so its norm is
+        rho(J), and rho_J is returned. Non-reversible chain: K built from
+        Q = P* P puts P_hat* P_hat inside it and bounds rho^2 by
+        1 - 1/||K||, with ||K|| in l2(1/mu) the largest eigenvalue of the
+        symmetric M of _spectrum; its square root is returned. Singleton
+        strata give J = 0: 0.
         """
-        if part.n == self.P.n:
-            return 0.0
-        if self.reversible:
-            lam = self._spectrum(part)
-            nb = 1.0 - 1.0 / float(lam.max())
-            if self.P.n < linalg.ARPACK_MIN_N:
-                nb = max(nb, 1.0 / float(lam.min()) - 1.0)
-            return nb
+        if self.reversible or part.n == self.P.n:
+            return self.rho_J(part)
         try:
-            K = self._projected(self._resolvent(True), part)
+            lam = self._spectrum(part, pstar_p=True)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "norm_bound: P* P is reducible (lambda_2 = 1); the non-reversible "
                 "norm bound is undefined") from exc
-        T = self._scaled(K)
-        nb = 1.0 - 1.0 / float(linalg.leading_eigs(T, 1, symmetric=True).values[0])
-        return float(np.sqrt(nb))
+        return float(np.sqrt(1.0 - 1.0 / float(lam.max())))
 
     def angle(self, part, k):
         """(sin^2 theta, angle bound) for the k leading eigenvectors of

@@ -181,28 +181,37 @@ def test_refine_study_computes_each_rate_once(tmp_path, monkeypatch):
 def test_split_sweep_prepares_the_chain_once(monkeypatch):
     # 99 splits of a non-reversible chain: one reversibility test, one
     # factor of P (for rho_J) and one of P* P (for the norm bound) for all
-    # of them
+    # of them, each kept as a dense scaled resolvent, so every split's two
+    # spectra are eigensolves of 100 x 100 arrays; the one operator left
+    # is the P* P pairs solve (the 2 x 2 Gram matrices are sin_theta's)
     resolvents = count_calls(monkeypatch, linalg.resolvent, linalg)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
+    solves = count_calls(monkeypatch, linalg.leading_eigs, linalg)
     rates = cli._prepare([0.05])[0.05]
     rows = cli._split_sweep_rows(rates, 2)
     assert len(rows) == 99 and len(tests) == 1
     assert [args[0] is rates.P.mat for args in resolvents] == [True, False]
+    fine = [args[0] for args in solves if args[0].shape == (100, 100)]
+    assert len(fine) == 199
+    assert sum(isinstance(A, np.ndarray) for A in fine) == 198
 
 
 def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
     # the three 1D chains (alpha = 0, 0.05, 0.15) and the 2D chain are
     # each prepared once for all seven CSVs: one build per 1D chain, one
     # fine GTH solve per mixture, one reversibility test and one P* P
-    # eigensolve per chain
+    # eigensolve per chain; rho(P_hat) takes an eigensolve of P_hat only
+    # on the two non-reversible chains
     builds = count_calls(monkeypatch, models.shift_mixture_1d, models)
     solves = count_calls(monkeypatch, chain.steady_state, chain, models, diagnostics)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
     spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
+    direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
     assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0
     assert len(builds) == 3
     assert [args[0].n for args in solves] == [100, 100]
     assert len(tests) == 4 and len(spectra) == 4
+    assert len(direct) == 2
     assert (tmp_path / "table1.csv").read_text().splitlines()[1:] == [
         "2,0.999992,5.09", "3,0.991441,2.07", "4,0.986243,1.86",
         "5,0.979807,1.69"]

@@ -490,7 +490,8 @@ def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
     # rate reaches; on the lazy cycle in strata of two, J has the
     # eigenvalue -0.9 of the alternating mode and 0.05 as its largest,
     # under the floor 0.9. On the ARPACK branch rho_J is then one
-    # rho_J_direct call, and the dense answer
+    # rho_J_direct call, and the dense answer, which the norm bound of
+    # the self-adjoint J repeats
     rng = np.random.default_rng(11)
     if case == "zero diagonal":
         P, mu = random_reversible_chain(rng, 40, fill=1.0)
@@ -506,8 +507,30 @@ def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
     rep = diagnostics.full_report(P, part, [2, 3], mu)
     assert rep.reversible and len(direct) == 1
     assert rep.rho_J == pytest.approx(dense.rho_J, abs=1e-8)
+    assert rep.norm_bound == rep.rho_J
     if case == "lazy cycle":
         assert rep.rho_J == pytest.approx(0.9, abs=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 60), st.sampled_from(["reversible", "nearly decomposable"]),
+       st.integers(0, 10_000))
+def test_reversible_rho_hatP_is_sqrt_lambda2(N, kind, seed):
+    # P* P = P^2 for a reversible chain, so rho(P_hat) is sqrt(lambda_2)
+    # of the cached pairs at every size; eigvals of P_hat is the oracle
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    part = random_partition(rng, N, int(rng.integers(1, N)))
+    oracle = diagnostics.rho_J_direct(chain.deviation(P, mu) @ np.eye(N))
+
+    def rates():
+        rep = diagnostics.full_report(P, part, [2], mu)
+        rho = diagnostics.ChainRates(P, mu).rho_hatP()
+        assert rho == rep.sqrt_lambda2 == rep.rho_hatP
+        return rho
+
+    for rho in _on_both_branches(rates):
+        assert rho == pytest.approx(oracle, abs=1e-10)
 
 
 @pytest.mark.parametrize("N", [12, 13, 20, 33, 60])

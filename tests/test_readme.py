@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -25,3 +26,8 @@ def test_readme_library_example_runs_as_written():
     assert abs(rho_J - 0.992426) <= 1e-6
     assert abs(sqrt_lambda2 - 0.999992) <= 1e-6
     assert abs(rate - rho_J) <= 0.01 * rho_J
+    # IAD takes ln(rho_J) / ln(sqrt_lambda2) times fewer steps than the
+    # power method for the same error reduction; the comment states it
+    fewer = int(re.search(r"IAD needs ~(\d+)x fewer steps",
+                          _library_example()).group(1))
+    assert abs(math.log(rho_J) / math.log(sqrt_lambda2) - fewer) <= 0.01 * fewer
