@@ -125,7 +125,7 @@ _SPLIT_HEADER = ("ell,rho,rho_neglog10,norm_bound,norm_bound_neglog10,"
 
 def _prepare(alphas):
     """{alpha: ChainRates} of the 1D shift mixtures, one per alpha."""
-    return {a: diagnostics.ChainRates(*models.shift_mixture_1d(a))
+    return {a: diagnostics.ChainRates(*models.build_model({"alpha": a})[:2])
             for a in sorted(alphas)}
 
 

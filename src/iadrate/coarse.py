@@ -1,7 +1,7 @@
 """Partitions of the fine space and the coarse operators built on them:
 aggregation A, disaggregation D(nu), coarse matrix C(nu) = A P D(nu),
-orthogonal projection Pi(nu) = D(nu) A, and the oblique coarse projection
-S(nu) that governs the coarse-correction error.
+the complement of the orthogonal projection Pi(nu) = D(nu) A, and the
+oblique coarse projection S(nu) that governs the coarse-correction error.
 """
 
 from dataclasses import dataclass
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import ProbabilityVector, validate
+from .chain import validate
 from .errors import PartitionError, ZeroMassStratumError
 
 
@@ -114,20 +114,14 @@ def coarse_matrix(P, w, part, pattern=None):
     return validate(C.reshape(n, n))
 
 
-def _positive(nu, who):
-    nu = np.asarray(nu.probs if isinstance(nu, ProbabilityVector) else nu,
-                    dtype=float)
-    if np.any(nu <= 0):
-        raise ValueError(f"{who}: nu must be strictly positive")
-    return nu
-
-
-def orthogonal_projection(nu, part):
-    """Pi(nu) = D(nu) A, the l2(1/nu)-orthogonal projection on rg(D), as a
-    LinearOperator: aggregate, then spread in the proportions of nu."""
-    w = disaggregation_weights(_positive(nu, "orthogonal_projection"), part)[:, None]
-    return linalg.block_operator(
-        part.fine_n, lambda X: w * aggregate(X, part)[part.assignment])
+def complement(nu, part):
+    """I - Pi~ on an (N, m) block X: X - u (A (u X))[a], u the unit
+    sqrt(nu)-weighted stratum indicators. Pi~ = diag(1/sqrt(nu)) Pi(nu)
+    diag(sqrt(nu)) is the symmetric form of Pi(nu) = D(nu) A, the
+    l2(1/nu)-orthogonal projection on rg(D(nu)); a massless stratum raises."""
+    a = part.assignment
+    u = np.sqrt(disaggregation_weights(nu, part))[:, None]
+    return lambda X: X - u * aggregate(u * X, part)[a]
 
 
 def coarse_projection(P, mu, nu, part):
@@ -141,7 +135,9 @@ def coarse_projection(P, mu, nu, part):
     separately (I - C(nu) + (A mu) 1^T) is not when the coarse chain is
     nearly decomposable.
     """
-    nu = _positive(nu, "coarse_projection")
+    nu = nu.probs
+    if np.any(nu <= 0):
+        raise ValueError("coarse_projection: nu must be strictly positive")
     N, a, n = P.n, part.assignment, part.n
     cols, keys, vals = coarse_pattern(P, part)
     B = np.zeros((n, N))
@@ -157,14 +153,12 @@ def coarse_projection(P, mu, nu, part):
 
 
 def is_refinement(refined, coarser):
-    """True iff every stratum of `refined` lies inside one stratum of `coarser`."""
+    """True iff every stratum of `refined` lies inside one stratum of
+    `coarser`, i.e. the strata meet refined.n pairs of labels, not more."""
     if refined.fine_n != coarser.fine_n:
         return False
-    for t in range(refined.n):
-        labels = coarser.assignment[refined.assignment == t]
-        if labels.size and np.any(labels != labels[0]):
-            return False
-    return True
+    pairs = np.unique(refined.assignment * coarser.n + coarser.assignment)
+    return pairs.size == refined.n
 
 
 def save_partition(path, part):

@@ -19,8 +19,7 @@ from .chain import (
     steady_state,
     time_reversal,
 )
-from .coarse import (aggregate, coarse_projection, is_refinement,
-                     orthogonal_projection)
+from .coarse import coarse_projection, complement, is_refinement
 from .errors import (PartitionError, ReducibleMatrixError, RefinementError,
                      SingularMatrixError)
 
@@ -124,13 +123,12 @@ class ChainRates:
         strata, where Pi = I and K = 0).
 
         They are those of M = (I - Pi~) Rs (I - Pi~) =
-        diag(1/sqrt(mu)) K diag(sqrt(mu)), Pi~ = U U^T for the unit
-        sqrt(mu)-weighted stratum indicators U, which is symmetric when Rs
-        is. With a dense Rs all of them, from the dense M; otherwise the
-        _EXACT_FORMULA_K leading ones of the operator M (for a symmetric M
-        its largest, which are its largest moduli too, R being positive
-        definite in l2(1/mu)). Eigenvalues below _DROP_TOL times the
-        largest modulus count as zero.
+        diag(1/sqrt(mu)) K diag(sqrt(mu)), I - Pi~ = coarse.complement,
+        which is symmetric when Rs is. With a dense Rs all of them, from
+        the dense M; otherwise the _EXACT_FORMULA_K leading ones of the
+        operator M (for a symmetric M its largest, which are its largest
+        moduli too, R being positive definite in l2(1/mu)). Eigenvalues
+        below _DROP_TOL times the largest modulus count as zero.
         """
         if part.n == self.P.n:
             return np.zeros(0)
@@ -138,9 +136,7 @@ class ChainRates:
         if pstar_p not in memo:
             Rs = self._scaled_resolvent(pstar_p)
             symmetric = self.reversible or pstar_p
-            m, a = self.mu.probs, part.assignment
-            u = np.sqrt(m / aggregate(m, part)[a])[:, None]
-            E = lambda X: X - u * aggregate(u * X, part)[a]
+            E = complement(self.mu.probs, part)
             if isinstance(Rs, np.ndarray):
                 M, k = E(E(Rs).T).T, None
                 if symmetric:
@@ -264,17 +260,17 @@ def sin_theta(P, mu, part, k, sd):
 
     With V_k the eigenvectors (orthonormal in l2(1/mu)), sin^2 is the
     largest eigenvalue of the k x k Gram matrix of (I - Pi) V_k in
-    l2(1/mu), i.e. of U_k^T (I - Pi~) U_k in plain coordinates.
+    l2(1/mu), i.e. of F^T F in plain coordinates, F = (I - Pi~) U_k,
+    U_k = diag(1/sqrt(mu)) V_k and I - Pi~ = coarse.complement.
     """
     if not 2 <= k < P.n:
         raise ValueError(f"sin_theta: k must satisfy 2 <= k < {P.n}, got {k}")
     if sd.right_vectors.shape[1] < k:
         raise ValueError(f"sin_theta: sd holds {sd.right_vectors.shape[1]} "
                          f"eigenvectors, k = {k} needs k")
-    V = sd.right_vectors[:, :k]
-    E = V - orthogonal_projection(mu, part) @ V
-    G = E.T @ (E / mu.probs[:, None])
-    s2 = float(linalg.leading_eigs(G, 1, symmetric=True).values[0])
+    F = complement(mu.probs, part)(sd.right_vectors[:, :k]
+                                   / np.sqrt(mu.probs)[:, None])
+    s2 = float(linalg.leading_eigs(F.T @ F, 1, symmetric=True).values[0])
     return float(min(np.sqrt(max(s2, 0.0)), 1.0))
 
 

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse
 
-from .chain import ProbabilityVector, StochasticMatrix, steady_state, validate
+from .chain import ProbabilityVector, StochasticMatrix, validate
 from .coarse import make_partition, singleton_partition, trivial_partition
 from .errors import PartitionError
 
@@ -139,18 +139,6 @@ def mix(P, W, alpha):
     if P.mat.shape != W.mat.shape:
         raise ValueError("mix: dimension mismatch")
     return StochasticMatrix(mat=(1.0 - alpha) * P.mat + alpha * W.mat)
-
-
-def shift_mixture_1d(alpha):
-    """(P, mu) for the benchmark 1D chain mixed with the left shift,
-    (1 - alpha) P + alpha L: mu is the Boltzmann distribution at alpha = 0
-    and the GTH steady state of the mixture otherwise."""
-    mu = boltzmann_1d(benchmark_chain_1d_spec())
-    P = reversible_chain_1d(mu)
-    if alpha == 0.0:
-        return P, mu
-    P = mix(P, left_shift(P.n), alpha)
-    return P, steady_state(P)
 
 
 def boltzmann_2d(spec):

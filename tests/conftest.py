@@ -59,6 +59,16 @@ def random_partition(rng, N, n):
     return make_partition(assignment, n)
 
 
+def nested_partition_pair(rng, N):
+    """(coarser, refined): a random partition and one that splits each of
+    its strata into up to two pieces."""
+    n = int(rng.integers(2, 5))
+    coarse_part = random_partition(rng, N, n)
+    assignment = coarse_part.assignment * 2 + rng.integers(0, 2, size=N)
+    labels, refined = np.unique(assignment, return_inverse=True)
+    return coarse_part, make_partition(refined, len(labels))
+
+
 def qr_null_vector(A):
     """Unit vector spanning the null space of a rank N-1 square matrix.
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     aggregation_matrix,
     disaggregation_matrix,
+    nested_partition_pair,
     random_chain,
     random_partition,
     random_reversible_chain,
@@ -142,7 +143,7 @@ def test_criterion_07_operator_identities():
         I = np.eye(N)
         A = aggregation_matrix(part)
         D = disaggregation_matrix(mu.probs, part)
-        Pi = coarse.orthogonal_projection(mu.probs, part) @ I
+        Pi = D @ A
         S = coarse.coarse_projection(P, mu, mu, part) @ I
         J = diagnostics.error_operator(P, mu, part) @ I
         hat = chain.deviation(P, mu) @ I
@@ -161,15 +162,6 @@ def test_criterion_07_operator_identities():
         lhs = star(hat) @ hat
         rhs = star(P.dense()) @ P.dense() - np.outer(mu.probs, np.ones(N))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def nested_partition_pair(rng, N):
-    n = int(rng.integers(2, 5))
-    coarse_part = random_partition(rng, N, n)
-    # split each stratum into up to two pieces
-    assignment = coarse_part.assignment * 2 + rng.integers(0, 2, size=N)
-    labels, refined = np.unique(assignment, return_inverse=True)
-    return coarse_part, coarse.make_partition(refined, len(labels))
 
 
 def test_criterion_08_refinement_monotonicity():

@@ -190,7 +190,9 @@ def test_time_reversal_is_bitwise_the_broadcast_formula(alpha):
     # and on sparse input, random or banded
     rng = np.random.default_rng(11)
     Q = random_chain(rng, 40)
-    chains = [models.shift_mixture_1d(alpha), (Q, chain.steady_state(Q))]
+    P, mu, _ = models.build_model({"alpha": alpha})
+    chains = [(P, chain.steady_state(P) if mu is None else mu),
+              (Q, chain.steady_state(Q))]
     for P, mu in chains:
         m = mu.probs
         expect = P.dense().T * m[:, None] * (1.0 / m)[None, :]

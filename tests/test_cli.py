@@ -198,17 +198,17 @@ def test_split_sweep_prepares_the_chain_once(monkeypatch):
 
 def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
     # the three 1D chains (alpha = 0, 0.05, 0.15) and the 2D chain are
-    # each prepared once for all seven CSVs: one build per 1D chain, one
+    # each prepared once for all seven CSVs: one build_model per chain, one
     # fine GTH solve per mixture, one reversibility test and one P* P
     # eigensolve per chain; rho(P_hat) takes an eigensolve of P_hat only
     # on the two non-reversible chains
-    builds = count_calls(monkeypatch, models.shift_mixture_1d, models)
-    solves = count_calls(monkeypatch, chain.steady_state, chain, models, diagnostics)
+    builds = count_calls(monkeypatch, models.build_model, models)
+    solves = count_calls(monkeypatch, chain.steady_state, chain, diagnostics)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
     spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
     direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
     assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0
-    assert len(builds) == 3
+    assert len(builds) == 4
     assert [args[0].n for args in solves] == [100, 100]
     assert len(tests) == 4 and len(spectra) == 4
     assert len(direct) == 2

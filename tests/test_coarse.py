@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     aggregation_matrix,
     disaggregation_matrix,
+    nested_partition_pair,
     random_chain,
     random_partition,
     random_reversible_chain,
@@ -81,15 +82,29 @@ def test_coarse_matrix_fixes_aggregated_mu():
     assert np.max(np.abs(C.mat @ amu - amu)) < 1e-12
 
 
-def test_orthogonal_projection_idempotent_selfadjoint():
-    rng = np.random.default_rng(3)
-    part = random_partition(rng, 8, 3)
-    nu = rng.random(8) + 0.1
-    Pi = coarse.orthogonal_projection(nu, part) @ np.eye(8)
-    assert np.max(np.abs(Pi @ Pi - Pi)) < 1e-12
-    # self-adjoint in l2(1/nu): diag(1/nu) Pi symmetric
-    W = Pi / nu[:, None]
-    assert np.max(np.abs(W - W.T)) < 1e-12
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 14), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 10_000))
+def test_complement_is_the_symmetric_orthogonal_complement(N, n, m, seed):
+    # I - diag(1/sqrt(nu)) D(nu) A diag(sqrt(nu)) from the dense oracles,
+    # on an (N, m) block and on I: symmetric, idempotent, and zero on
+    # sqrt(nu) restricted to each stratum; a massless stratum raises
+    rng = np.random.default_rng(seed)
+    part = random_partition(rng, N, min(n, N))
+    nu = rng.random(N) + 0.1
+    s = np.sqrt(nu)
+    A = aggregation_matrix(part)
+    E = np.eye(N) - (disaggregation_matrix(nu, part) @ A) * s[None, :] / s[:, None]
+    comp = coarse.complement(nu, part)
+    X = rng.standard_normal((N, m))
+    assert np.max(np.abs(comp(X) - E @ X)) < 1e-12
+    M = comp(np.eye(N))
+    assert np.max(np.abs(M - E)) < 1e-12
+    assert np.max(np.abs(M - M.T)) < 1e-12
+    assert np.max(np.abs(comp(M) - M)) < 1e-12
+    assert np.max(np.abs(comp(A.T * s[:, None]))) < 1e-12
+    with pytest.raises(ZeroMassStratumError):
+        coarse.complement(np.where(part.assignment == 0, 0.0, nu), part)
 
 
 def test_coarse_projection_identities():
@@ -98,7 +113,7 @@ def test_coarse_projection_identities():
     mu = chain.steady_state(P)
     part = random_partition(rng, 10, 3)
     S = coarse.coarse_projection(P, mu, mu, part) @ np.eye(10)
-    Pi = coarse.orthogonal_projection(mu.probs, part) @ np.eye(10)
+    Pi = disaggregation_matrix(mu.probs, part) @ aggregation_matrix(part)
     assert np.max(np.abs(S @ S - S)) < 1e-10
     assert np.max(np.abs(Pi @ S - S)) < 1e-10
     assert np.max(np.abs(S @ Pi - Pi)) < 1e-10
@@ -113,6 +128,32 @@ def test_is_refinement():
     assert coarse.is_refinement(b, a)
     assert not coarse.is_refinement(c, a)
     assert coarse.is_refinement(a, a)
+
+
+def _refines_by_loop(refined, coarser):
+    """The definition: each stratum of `refined` carries one label of
+    `coarser`."""
+    return refined.fine_n == coarser.fine_n and all(
+        len(set(coarser.assignment[refined.assignment == t])) == 1
+        for t in range(refined.n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(4, 30), st.integers(0, 10_000))
+def test_is_refinement_matches_the_loop_definition(N, seed):
+    rng = np.random.default_rng(seed)
+    coarser, refined = nested_partition_pair(rng, N)
+    assert coarse.is_refinement(refined, coarser)
+    pairs = [(refined, coarser), (coarser, refined),
+             (coarse.singleton_partition(N), coarser),
+             (coarser, coarse.trivial_partition(N)),
+             (coarser, coarse.singleton_partition(N + 1))]
+    for _ in range(3):
+        a, b = (random_partition(rng, N, int(rng.integers(1, N + 1)))
+                for _ in range(2))
+        pairs += [(a, b), (b, a)]
+    for r, c in pairs:
+        assert coarse.is_refinement(r, c) == _refines_by_loop(r, c)
 
 
 def test_partition_roundtrip(tmp_path):

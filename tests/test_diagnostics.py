@@ -142,7 +142,8 @@ def test_projection_pair_invariants(bench_1d):
     Q_k = sd.right_vectors @ (sd.right_vectors / mu.probs[:, None]).T
     w = 1.0 / mu.probs
     # Pi is also covered by acceptance criterion 7
-    for M in (coarse.orthogonal_projection(mu, part) @ np.eye(100), Q_k):
+    Pi = disaggregation_matrix(mu.probs, part) @ aggregation_matrix(part)
+    for M in (Pi, Q_k):
         assert np.max(np.abs(M @ M - M)) < 1e-10
         W = w[:, None] * M
         assert np.max(np.abs(W - W.T)) < 1e-8
@@ -258,6 +259,30 @@ def test_arpack_branch_matches_lapack_branch(N, kind, seed):
 
     dense, arpack = _on_both_branches(quantities)
     assert np.max(np.abs(arpack - dense)) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 60),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.integers(0, 10_000))
+def test_sin_theta_matches_dense_oracle(N, kind, seed):
+    # sin^2 theta is lambda_max of V_k^T (I - Pi)^T diag(1/mu) (I - Pi) V_k
+    # with Pi = D(mu) A from the dense oracles, for the pairs of either
+    # branch
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    part = random_partition(rng, N, int(rng.integers(2, min(N, 8))))
+    E = np.eye(N) - disaggregation_matrix(mu.probs, part) @ aggregation_matrix(part)
+
+    def sines():
+        sd = chain.pstar_p_spectrum(P, mu, 4)
+        return sd, [diagnostics.sin_theta(P, mu, part, k, sd) for k in (2, 3)]
+
+    for sd, got in _on_both_branches(sines):
+        for k, s in zip((2, 3), got):
+            F = E @ sd.right_vectors[:, :k]
+            s2 = np.linalg.eigvalsh(F.T @ (F / mu.probs[:, None]))[-1]
+            assert s * s == pytest.approx(min(max(s2, 0.0), 1.0), abs=1e-12)
 
 
 def _dense_K(mu, part, Q):
@@ -600,8 +625,10 @@ def test_split_sweep_uses_no_scipy_linalg(monkeypatch, alpha, fig):
     for name in ("lu_factor", "lu_solve", "solve", "eig", "eigvals", "eigh",
                  "eigvalsh", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
-    P, mu = models.shift_mixture_1d(alpha)
-    part = models.split1d(P.n, 57)
+    P, mu, part = models.build_model({"alpha": alpha,
+                                      "partition.kind": "split1d",
+                                      "partition.ell": 57})
+    mu = chain.steady_state(P) if mu is None else mu
     sd = chain.pstar_p_spectrum(P, mu, 3)
     rho = diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))
     nb = diagnostics.norm_bound(P, mu, part)

@@ -190,11 +190,20 @@ def test_load_config_and_build_model(tmp_path):
 
 
 def test_build_model_alpha_mixture():
+    # a config value (a string) or the CLI's float alpha: exactly
+    # mix(P, L, alpha), mu left to the GTH steady state
     P0, mu0, _ = models.build_model({"model": "chain1d"})
     Pa, mua, _ = models.build_model({"model": "chain1d", "alpha": "0.05"})
     assert mua is None
     expect = 0.95 * P0.dense() + 0.05 * models.left_shift(100).dense()
     assert np.allclose(Pa.dense(), expect, atol=1e-14)
+    for alpha in (0.05, 0.15):
+        Pa, mua, _ = models.build_model({"alpha": alpha})
+        assert mua is None
+        expect = models.mix(P0, models.left_shift(100), alpha)
+        assert np.array_equal(Pa.dense(), expect.dense())
+        mu = chain.steady_state(Pa)
+        assert np.max(np.abs(Pa.mat @ mu.probs - mu.probs)) < 1e-14
 
 
 def test_build_model_overrides_the_benchmark_spec():
@@ -227,17 +236,6 @@ def test_build_model_overrides_the_benchmark_spec():
 def test_build_model_rejects(cfg, error, match):
     with pytest.raises(error, match=match):
         models.build_model(cfg)
-
-
-def test_shift_mixture_1d():
-    P0, mu0, _ = models.build_model({"model": "chain1d"})
-    P, mu = models.shift_mixture_1d(0.0)
-    assert np.array_equal(P.dense(), P0.dense())
-    assert np.array_equal(mu.probs, mu0.probs)
-    P, mu = models.shift_mixture_1d(0.15)
-    expect = models.mix(P0, models.left_shift(100), 0.15)
-    assert np.array_equal(P.dense(), expect.dense())
-    assert np.max(np.abs(P.mat @ mu.probs - mu.probs)) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)
