@@ -6,7 +6,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iadrate import chain, coarse, models
+from iadrate import chain, cli, coarse, models
 from iadrate.errors import PartitionError
 
 
@@ -190,20 +190,11 @@ def test_load_config_and_build_model(tmp_path):
 
 
 def test_build_model_alpha_mixture():
-    # a config value (a string) or the CLI's float alpha: exactly
-    # mix(P, L, alpha), mu left to the GTH steady state
     P0, mu0, _ = models.build_model({"model": "chain1d"})
     Pa, mua, _ = models.build_model({"model": "chain1d", "alpha": "0.05"})
     assert mua is None
     expect = 0.95 * P0.dense() + 0.05 * models.left_shift(100).dense()
     assert np.allclose(Pa.dense(), expect, atol=1e-14)
-    for alpha in (0.05, 0.15):
-        Pa, mua, _ = models.build_model({"alpha": alpha})
-        assert mua is None
-        expect = models.mix(P0, models.left_shift(100), alpha)
-        assert np.array_equal(Pa.dense(), expect.dense())
-        mu = chain.steady_state(Pa)
-        assert np.max(np.abs(Pa.mat @ mu.probs - mu.probs)) < 1e-14
 
 
 def test_build_model_overrides_the_benchmark_spec():
@@ -236,6 +227,22 @@ def test_build_model_overrides_the_benchmark_spec():
 def test_build_model_rejects(cfg, error, match):
     with pytest.raises(error, match=match):
         models.build_model(cfg)
+
+
+def test_shift_mixture_1d():
+    # the chains the CLI tables run on, (1 - alpha) P + alpha L built
+    # through build_model from a float alpha: the Boltzmann chain itself
+    # at alpha = 0, otherwise exactly mix(P, L, alpha) with mu its GTH
+    # steady state
+    P0, mu0, _ = models.build_model({"model": "chain1d"})
+    rates = cli._prepare([0.15, 0.0])
+    assert list(rates) == [0.0, 0.15]
+    assert np.array_equal(rates[0.0].P.dense(), P0.dense())
+    assert np.array_equal(rates[0.0].mu.probs, mu0.probs)
+    P, mu = rates[0.15].P, rates[0.15].mu
+    expect = models.mix(P0, models.left_shift(100), 0.15)
+    assert np.array_equal(P.dense(), expect.dense())
+    assert np.max(np.abs(P.mat @ mu.probs - mu.probs)) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)
