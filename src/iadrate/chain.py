@@ -193,7 +193,8 @@ def is_reversible(P, mu):
 
 def pstar_p_spectrum(P, mu, k=None):
     """The k leading eigenpairs (default: all) of P* P, the self-adjoint
-    composition of the chain with its time reversal in l2(1/mu).
+    composition of the chain with its time reversal in l2(1/mu), and any
+    further ones linalg.leading_eigs verified.
 
     The similarity M = diag(1/sqrt(mu)) P diag(sqrt(mu)) makes M^T M plain
     symmetric; it is applied as two products with P, and eigenvectors map

@@ -23,8 +23,6 @@ from .coarse import coarse_projection, complement, is_refinement
 from .errors import (PartitionError, ReducibleMatrixError, RefinementError,
                      SingularMatrixError)
 
-# Eigenvalues of K the exact formula maps back above linalg.ARPACK_MIN_N.
-_EXACT_FORMULA_K = 6
 # Eigenvalues of K below this times its largest modulus count as zero.
 _DROP_TOL = 1e-9
 
@@ -125,10 +123,10 @@ class ChainRates:
         They are those of M = (I - Pi~) Rs (I - Pi~) =
         diag(1/sqrt(mu)) K diag(sqrt(mu)), I - Pi~ = coarse.complement,
         which is symmetric when Rs is. With a dense Rs all of them, from
-        the dense M; otherwise the _EXACT_FORMULA_K leading ones of the
-        operator M (for a symmetric M its largest, which are its largest
-        moduli too, R being positive definite in l2(1/mu)). Eigenvalues
-        below _DROP_TOL times the largest modulus count as zero.
+        the dense M; otherwise every leading one ARPACK verifies on the
+        operator M, at least six (for a symmetric M its largest, which are
+        its largest moduli too, R being positive definite in l2(1/mu)).
+        Eigenvalues below _DROP_TOL times the largest modulus count as zero.
         """
         if part.n == self.P.n:
             return np.zeros(0)
@@ -146,8 +144,7 @@ class ChainRates:
                     # smaller M
                     M = 0.5 * (M + M.T)
             else:
-                M = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X)))
-                k = _EXACT_FORMULA_K
+                M, k = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X))), 1
             lam = linalg.leading_eigs(M, k, symmetric=symmetric).values
             memo[pstar_p] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
         return memo[pstar_p]
@@ -183,10 +180,10 @@ class ChainRates:
         With K = (I - Pi)(I - P_hat)^{-1}(I - Pi), the nonzero part of the
         spectrum of J is {1 - 1/lambda : lambda in sigma(K), lambda != 0},
         with 0 adjoined. Below linalg.ARPACK_MIN_N every eigenvalue of J;
-        above, the images of K's _EXACT_FORMULA_K leading eigenvalues,
-        which are the eigenvalues of J nearest 1 (for a reversible chain,
-        rho(J) among them when rho_J certifies it). Singleton strata give
-        the spectrum {0}.
+        above, the images of K's leading eigenvalues from _spectrum,
+        which are the eigenvalues of J nearest 1: rho(J) is among them
+        for a reversible chain whose rho_J is certified, and can be
+        missing otherwise. Singleton strata give the spectrum {0}.
         """
         return np.concatenate([1.0 - 1.0 / self._spectrum(part), [0.0]])
 
@@ -220,13 +217,17 @@ class ChainRates:
         return s * s, angle_bound(sd.lambdas, s * s, k, self.reversible)
 
     def report(self, part, k_list=(2,)):
-        """All rate quantities for one aggregation."""
+        """All rate quantities for one aggregation. rho_exact_formula is
+        NaN when it falls short of rho_J by more than 1e-8, as the partial
+        spectrum of exact_formula above linalg.ARPACK_MIN_N can."""
         sd = self.pairs(min(max(k_list, default=1) + 1, self.P.n))
+        rho = self.rho_J(part)
+        formula = float(np.max(np.abs(self.exact_formula(part))))
         return RateReport(
             sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
             rho_hatP=self.rho_hatP(),
-            rho_J=self.rho_J(part),
-            rho_exact_formula=float(np.max(np.abs(self.exact_formula(part)))),
+            rho_J=rho,
+            rho_exact_formula=formula if formula >= rho - 1e-8 else float("nan"),
             norm_bound=float(self.norm_bound(part)),
             angle_bounds={int(k): self.angle(part, k) for k in k_list},
             reversible=self.reversible,

@@ -27,8 +27,8 @@ from .errors import (
 # N = 300; on the 2D chains ARPACK wins from N = 196.
 ARPACK_MIN_N = 200
 # ARPACK converges at least this many wanted eigenvalues, which keeps it
-# from settling on a smaller one in a cluster of near-equal moduli; the
-# extra ones are dropped.
+# from settling on a smaller one in a cluster of near-equal moduli; every
+# one of them is verified and returned.
 _ARPACK_MIN_K = 6
 # An ARPACK eigenpair (v of unit norm) is accepted when ||A v - lambda v||
 # stays below this times the largest modulus returned, or times one when
@@ -90,8 +90,9 @@ def leading_eigs(A, k=None, symmetric=False, vectors=False):
     one of them, LAPACK solves the materialized A: `eigvals`, or `eigh`/
     `eigvalsh` on (A + A^T) / 2 if A is symmetric to _SYMMETRY_TOL
     relative to its largest entry (at least one; else NotSymmetricError).
-    Otherwise ARPACK iterates from a fixed start vector and every pair
-    must satisfy ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|).
+    Otherwise ARPACK iterates from a fixed start vector and returns every
+    pair it converged, at least _ARPACK_MIN_K (so possibly more than k),
+    each with ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|).
     Any solver failure raises EigenConvergenceError.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
@@ -133,7 +134,7 @@ def _arpack_eigs(A, k, symmetric, vectors):
     except (scipy.sparse.linalg.ArpackError,
             scipy.sparse.linalg.ArpackNoConvergence) as exc:
         raise EigenConvergenceError(f"leading_eigs: ARPACK failed: {exc}") from exc
-    vals, V = vals[order[:k]], V[:, order[:k]]
+    vals, V = vals[order], V[:, order]
     AV = A @ V.real if symmetric else A @ V.real + 1j * (A @ V.imag)
     res = np.linalg.norm(AV - V * vals, axis=0)
     scale = max(1.0, float(np.max(np.abs(vals))))

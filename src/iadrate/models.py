@@ -48,6 +48,13 @@ class Chain1DSpec:
             raise ValueError("Chain1DSpec: require a < b, N >= 3, T > 0")
 
 
+# The offsets per grid axis (x, y) of the four moves of each 2D move set.
+_MOVES = {
+    "diagonal": ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+    "axis_aligned": ((1, 0), (-1, 0), (0, 1), (0, -1)),
+}
+
+
 @dataclass(frozen=True)
 class Chain2DSpec:
     potential: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -57,12 +64,12 @@ class Chain2DSpec:
     d: float
     N: int
     T: float
-    move_set: str = "axis_aligned"  # "axis_aligned" or "diagonal"
+    move_set: str = "axis_aligned"  # a key of _MOVES
 
     def __post_init__(self):
         if not (self.a < self.b and self.c < self.d and self.N >= 3 and self.T > 0):
             raise ValueError("Chain2DSpec: require a < b, c < d, N >= 3, T > 0")
-        if self.move_set not in ("diagonal", "axis_aligned"):
+        if self.move_set not in _MOVES:
             raise ValueError(f"Chain2DSpec: unknown move_set {self.move_set!r}")
 
 
@@ -77,13 +84,18 @@ def benchmark_chain_2d_spec():
                        N=50, T=0.25)
 
 
+def _boltzmann(v, T):
+    """exp(-v / T) normalised to sum one, flattened row-major."""
+    v = np.asarray(v, dtype=float)
+    e = np.exp(-(v - v.min()) / T)
+    return ProbabilityVector(probs=(e / e.sum()).reshape(-1))
+
+
 def boltzmann_1d(spec):
     """Discrete Boltzmann distribution on the endpoint-inclusive grid
     x_i = a + (b - a) i / (N - 1), i = 0..N-1."""
     x = np.linspace(spec.a, spec.b, spec.N)
-    v = np.asarray(spec.potential(x), dtype=float)
-    e = np.exp(-(v - v.min()) / spec.T)
-    return ProbabilityVector(probs=e / e.sum())
+    return _boltzmann(spec.potential(x), spec.T)
 
 
 # Index type of the model chains' CSC storage: scipy keeps the type of the
@@ -91,24 +103,36 @@ def boltzmann_1d(spec):
 _INDEX = np.int32
 
 
-def reversible_chain_1d(mu):
-    """Nearest-neighbor Metropolis-like chain in detailed balance with mu,
-    stored as CSC with three nonzeros a column.
-
-    Periodic wraparound; off-diagonals are half the target's share of the
-    pairwise mass, the diagonal takes the rest.
-    """
-    m = mu.probs
-    N = m.shape[0]
+def _metropolis(m, moves):
+    """Metropolis-like chain on the periodic grid of m.shape in detailed
+    balance with the positive measure m (flattened row-major): each of
+    the k moves, an offset per axis, takes state s to t with weight
+    m(t) / (k (m(t) + m(s))), and the diagonal takes the rest. Stored as
+    CSC with k + 1 nonzeros a column."""
     if np.any(m <= 0):
-        raise ValueError("reversible_chain_1d: mu must be strictly positive")
-    up = 0.5 * np.roll(m, -1) / (np.roll(m, -1) + m)    # i -> i+1
-    down = 0.5 * np.roll(m, 1) / (np.roll(m, 1) + m)    # i -> i-1
-    idx = np.arange(N, dtype=_INDEX)
-    rows = np.concatenate([(idx + 1) % N, (idx - 1) % N, idx])
-    vals = np.concatenate([up, down, 1.0 - up - down])
-    P = scipy.sparse.csc_array((vals, (rows, np.tile(idx, 3))), shape=(N, N))
-    return StochasticMatrix(mat=P)
+        raise ValueError("reversible chain: mu must be strictly positive")
+    n, axes = m.size, tuple(range(m.ndim))
+    src = np.arange(n, dtype=_INDEX).reshape(m.shape)
+    tgts, ws = [], []
+    for move in moves:
+        back = tuple(-d for d in move)
+        mt = np.roll(m, back, axis=axes)  # m at the target of each state
+        tgts.append(np.roll(src, back, axis=axes).reshape(-1))
+        ws.append((mt / (len(moves) * (mt + m))).reshape(-1))
+    off = scipy.sparse.csc_array(
+        (np.concatenate(ws), (np.concatenate(tgts), np.tile(src.reshape(-1), len(ws)))),
+        shape=(n, n))
+    # a grid side of at least 3 gives each column k distinct targets,
+    # stored in row order; adding them in that order, as a dense column
+    # sum does, makes the diagonal bit for bit one minus the dense column sum
+    moved = sum(off.data.reshape(n, -1).T)
+    return StochasticMatrix(mat=off + scipy.sparse.diags_array(1.0 - moved, format="csc"))
+
+
+def reversible_chain_1d(mu):
+    """Nearest-neighbor Metropolis-like chain on the periodic line in
+    detailed balance with mu: the two moves i -> i +- 1 (see _metropolis)."""
+    return _metropolis(mu.probs, ((1,), (-1,)))
 
 
 def _cyclic_shift(N, step):
@@ -145,44 +169,13 @@ def boltzmann_2d(spec):
     """Discrete Boltzmann distribution on the N x N grid, flattened row-major."""
     x = np.linspace(spec.a, spec.b, spec.N)
     y = np.linspace(spec.c, spec.d, spec.N)
-    v = np.asarray(spec.potential(x[:, None], y[None, :]), dtype=float)
-    e = np.exp(-(v - v.min()) / spec.T)
-    return ProbabilityVector(probs=(e / e.sum()).reshape(-1))
-
-
-_MOVES = {
-    "diagonal": ((1, 1), (1, -1), (-1, 1), (-1, -1)),
-    "axis_aligned": ((1, 0), (-1, 0), (0, 1), (0, -1)),
-}
+    return _boltzmann(spec.potential(x[:, None], y[None, :]), spec.T)
 
 
 def reversible_chain_2d(mu, spec):
     """Metropolis-like chain on the periodic N x N grid in detailed balance
-    with mu; each of the four moves in the move set gets weight
-    mu(target) / (4 (mu(target) + mu(source))). Stored as CSC with five
-    nonzeros a column."""
-    N = spec.N
-    m = mu.probs.reshape(N, N)
-    if np.any(m <= 0):
-        raise ValueError("reversible_chain_2d: mu must be strictly positive")
-    axis = np.arange(N, dtype=_INDEX)
-    ii, jj = np.meshgrid(axis, axis, indexing="ij")
-    src = (ii * N + jj).reshape(-1)
-    tgts, ws = [], []
-    for dk, dl in _MOVES[spec.move_set]:
-        ti = (ii + dk) % N
-        tj = (jj + dl) % N
-        tgts.append((ti * N + tj).reshape(-1))
-        ws.append((0.25 * m[ti, tj] / (m[ti, tj] + m)).reshape(-1))
-    moves = scipy.sparse.csc_array(
-        (np.concatenate(ws), (np.concatenate(tgts), np.tile(src, len(ws)))),
-        shape=(N * N, N * N))
-    # N >= 3 gives each column four distinct targets, stored in row order;
-    # adding them in that order, as a dense column sum does, makes the
-    # diagonal bit for bit one minus the dense column sum
-    moved = sum(moves.data.reshape(N * N, -1).T)
-    P = moves + scipy.sparse.diags_array(1.0 - moved, format="csc")
-    return StochasticMatrix(mat=P)
+    with mu: the four moves of spec.move_set (see _metropolis)."""
+    return _metropolis(mu.probs.reshape(spec.N, spec.N), _MOVES[spec.move_set])
 
 
 def uniform1d(N, n, ell):

@@ -249,7 +249,7 @@ def test_arpack_branch_matches_lapack_branch(N, kind, seed):
 
     def quantities():
         rep = diagnostics.full_report(P, part, [2, 3], mu)
-        lambdas = chain.pstar_p_spectrum(P, mu, 4).lambdas
+        lambdas = chain.pstar_p_spectrum(P, mu, 4).lambdas[:4]
         if rep.reversible:
             assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
         return np.array(
@@ -509,6 +509,14 @@ def test_table4_reports_read_one_symmetric_spectrum(bench_2d, monkeypatch):
     assert diagnostics.ChainRates(P, mu).rho_J(coarse.singleton_partition(P.n)) == 0.0
 
 
+def _lazy_cycle():
+    """The reversible cycle of 40 states with laziness 0.05 and its
+    uniform mu."""
+    S = np.roll(np.eye(40), 1, axis=0)
+    return (chain.StochasticMatrix(mat=0.05 * np.eye(40) + 0.475 * (S + S.T)),
+            chain.ProbabilityVector(probs=np.full(40, 1 / 40)))
+
+
 @pytest.mark.parametrize("case", ["zero diagonal", "lazy cycle"])
 def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
     # a zero diagonal entry puts the certificate's floor at 1, which no
@@ -516,17 +524,18 @@ def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
     # eigenvalue -0.9 of the alternating mode and 0.05 as its largest,
     # under the floor 0.9. On the ARPACK branch rho_J is then one
     # rho_J_direct call, and the dense answer, which the norm bound of
-    # the self-adjoint J repeats
+    # the self-adjoint J repeats. The exact formula is J's whole spectrum
+    # on the dense branch; on the ARPACK branch the lazy cycle's top six
+    # eigenvalues of K map to 0.05 at most, short of rho_J: NaN
     rng = np.random.default_rng(11)
     if case == "zero diagonal":
         P, mu = random_reversible_chain(rng, 40, fill=1.0)
         part = random_partition(rng, 40, 4)
     else:
-        S = np.roll(np.eye(40), 1, axis=0)
-        P = chain.StochasticMatrix(mat=0.05 * np.eye(40) + 0.475 * (S + S.T))
-        mu = chain.ProbabilityVector(probs=np.full(40, 1 / 40))
+        P, mu = _lazy_cycle()
         part = models.uniform1d(40, 20, 0)
     dense = diagnostics.full_report(P, part, [2, 3], mu)
+    assert dense.rho_exact_formula == dense.rho_J
     monkeypatch.setattr(linalg, "ARPACK_MIN_N", 10)
     direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
     rep = diagnostics.full_report(P, part, [2, 3], mu)
@@ -535,6 +544,21 @@ def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
     assert rep.norm_bound == rep.rho_J
     if case == "lazy cycle":
         assert rep.rho_J == pytest.approx(0.9, abs=1e-8)
+        assert np.isnan(rep.rho_exact_formula)
+    else:
+        assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
+
+
+def test_rho_hatP_then_pairs_solves_pstar_p_once(monkeypatch):
+    # ARPACK returns the six pairs it verified, so the pairs behind
+    # rho_hatP (k = 2) also serve pairs(4)
+    P, mu = _lazy_cycle()
+    monkeypatch.setattr(linalg, "ARPACK_MIN_N", 10)
+    spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, diagnostics)
+    rates = diagnostics.ChainRates(P, mu)
+    rates.rho_hatP()
+    assert len(rates.pairs(4).lambdas) == linalg._ARPACK_MIN_K
+    assert len(spectra) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -576,7 +600,7 @@ def test_cyclic_shift_on_arpack_matches_lapack_or_raises(N):
         report,
         lambda: diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part)),
         lambda: diagnostics.ChainRates(P, mu).rho_hatP(),
-        lambda: chain.pstar_p_spectrum(P, mu, 4).lambdas,
+        lambda: chain.pstar_p_spectrum(P, mu, 4).lambdas[:4],
         lambda: np.max(np.abs(diagnostics.ChainRates(P, mu).exact_formula(part))),
     )
     for piece in pieces:

@@ -94,25 +94,72 @@ def test_chain_2d_detailed_balance_and_diagonal():
     assert chain.pstar_p_spectrum(P, mu).lambdas[1] < 1
 
 
-def _assert_sparse_balanced_chain(P, mu, per_column):
+# the moves of each chain, an offset per grid axis
+_ORACLE_MOVES = {
+    "1d": ((1,), (-1,)),
+    "axis_aligned": ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    "diagonal": ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+}
+
+
+def _metropolis_oracle(m, moves):
+    """Dense P on the periodic grid of m.shape: move d puts the weight
+    m(t) / (k (m(t) + m(s))), t = s + d, where np.roll of the identity
+    along the target axes puts its one; the diagonal is one minus the
+    column sum of the off-diagonal part."""
+    n, axes, k = m.size, tuple(range(m.ndim)), len(moves)
+    eye = np.eye(n).reshape(m.shape + m.shape)  # [target..., source...]
+    off = np.zeros((n, n))
+    for move in moves:
+        mt = np.roll(m, [-d for d in move], axis=axes)
+        placed = np.roll(eye, move, axis=axes)
+        placed *= mt / (k * (mt + m))
+        off += placed.reshape(n, n)
+    np.fill_diagonal(off, 1.0 - off.sum(axis=0))
+    return off
+
+
+def _assert_matches_metropolis_oracle(P, m, moves):
+    """P is canonical int32 CSC with k + 1 nonzeros a column, the dense
+    oracle bit for bit, and in detailed balance with m."""
     assert P.mat.format == "csc" and P.mat.has_canonical_format
-    assert np.diff(P.mat.indptr).max() <= per_column
-    assert np.max(np.abs(P.mat.sum(axis=0) - 1.0)) < 1e-14
-    flux = P.mat @ scipy.sparse.diags_array(mu.probs)
-    assert abs(flux - flux.T).max() < 1e-14
+    assert P.mat.indices.dtype == P.mat.indptr.dtype == np.int32
+    assert np.all(np.diff(P.mat.indptr) == len(moves) + 1)
+    assert np.array_equal(P.dense(), _metropolis_oracle(m, moves))
+    flux = P.mat @ scipy.sparse.diags_array(m.reshape(-1))
+    assert abs(flux - flux.T).max() <= 1e-15
 
 
 def test_model_chains_are_csc(bench_1d, bench_2d):
-    _assert_sparse_balanced_chain(*bench_1d, 3)
-    _assert_sparse_balanced_chain(*bench_2d, 5)
-    spec = replace(models.benchmark_chain_2d_spec(), move_set="diagonal")
-    mu = models.boltzmann_2d(spec)
-    _assert_sparse_balanced_chain(models.reversible_chain_2d(mu, spec), mu, 5)
-    P0, _ = bench_1d
+    P0, mu = bench_1d
+    _assert_matches_metropolis_oracle(P0, mu.probs, _ORACLE_MOVES["1d"])
+    P, mu = bench_2d
+    spec = models.benchmark_chain_2d_spec()
+    m = mu.probs.reshape(spec.N, spec.N)
+    _assert_matches_metropolis_oracle(P, m, _ORACLE_MOVES["axis_aligned"])
+    spec = replace(spec, move_set="diagonal")
+    _assert_matches_metropolis_oracle(models.reversible_chain_2d(mu, spec), m,
+                                      _ORACLE_MOVES["diagonal"])
     for W in (models.left_shift(100), models.right_shift(100)):
         assert W.mat.format == "csc" and W.mat.nnz == 100
     mixed = models.mix(P0, models.left_shift(100), 0.05)
     assert mixed.mat.format == "csc" and np.diff(mixed.mat.indptr).max() <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_ORACLE_MOVES)), st.integers(3, 12), st.integers(0, 10_000))
+def test_model_chains_match_the_dense_metropolis_oracle(kind, side, seed):
+    # random positive measures spanning about nine decades, as a
+    # Boltzmann measure at low temperature does
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.uniform(-20.0, 0.0, (side,) if kind == "1d" else (side, side)))
+    mu = chain.ProbabilityVector(probs=(m / m.sum()).reshape(-1))
+    if kind == "1d":
+        P = models.reversible_chain_1d(mu)
+    else:
+        spec = replace(models.benchmark_chain_2d_spec(), N=side, move_set=kind)
+        P = models.reversible_chain_2d(mu, spec)
+    _assert_matches_metropolis_oracle(P, mu.probs.reshape(m.shape), _ORACLE_MOVES[kind])
 
 
 def test_chain_2d_well_mass(bench_2d):
