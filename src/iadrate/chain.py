@@ -185,6 +185,18 @@ def deviation(P, mu):
     return linalg.block_operator(P.n, lambda X: P.mat @ X - mc * X.sum(axis=0))
 
 
+def is_irreducible(P):
+    """Whether the graph of P's nonzero entries is strongly connected: the
+    exact test of irreducibility when mu is given and steady_state, which
+    makes it by elimination, does not run."""
+    # imported here: loading csgraph adds about 1 MB to the peak RSS of
+    # every workload, and only a large reversible report calls this
+    import scipy.sparse.csgraph
+
+    return scipy.sparse.csgraph.connected_components(
+        P.mat, connection="strong", return_labels=False) == 1
+
+
 def is_reversible(P, mu):
     """Detailed balance check: P equals its own time reversal entrywise,
     to REVERSIBLE_TOL."""
@@ -206,8 +218,9 @@ def pstar_p_spectrum(P, mu, k=None):
     if np.any(m <= 0):
         raise ValueError("pstar_p_spectrum: mu must be strictly positive")
     smc, mc = np.sqrt(m)[:, None], m[:, None]
+    PT = P.mat.T  # once: each .T of a sparse P builds a new array
     MtM = linalg.block_operator(
-        P.n, lambda X: smc * (P.mat.T @ ((P.mat @ (smc * X)) / mc)))
+        P.n, lambda X: smc * (PT @ ((P.mat @ (smc * X)) / mc)))
     pairs = linalg.leading_eigs(MtM, k, symmetric=True, vectors=True)
     lambdas = np.maximum(pairs.values, 0.0)
     if abs(lambdas[0] - 1.0) > 1e-8:

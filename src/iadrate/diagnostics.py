@@ -13,7 +13,9 @@ import numpy as np
 
 from . import linalg
 from .chain import (
+    SpectralData,
     deviation,
+    is_irreducible,
     is_reversible,
     pstar_p_spectrum,
     steady_state,
@@ -91,11 +93,49 @@ class ChainRates:
             self._Rs[pstar_p] = Rs
         return self._Rs[pstar_p]
 
+    def _floor(self):
+        """max(0, 1 - 2 min_j P_jj): by Gershgorin on the columns of P, no
+        eigenvalue of P lies below minus this."""
+        return max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min()))
+
     def pairs(self, k):
-        """At least k leading eigenpairs of P* P, solved again only for more."""
+        """At least k leading eigenpairs of P* P, solved again only for more:
+        for a reversible chain from linalg.ARPACK_MIN_N on those of Rs
+        (_resolvent_pairs) where they are certified, otherwise
+        chain.pstar_p_spectrum."""
         if self._sd is None or len(self._sd.lambdas) < k:
-            self._sd = pstar_p_spectrum(self.P, self.mu, k)
+            self._sd = self._resolvent_pairs(k) or pstar_p_spectrum(self.P, self.mu, k)
         return self._sd
+
+    def _resolvent_pairs(self, k):
+        """The k leading P* P pairs of a reversible chain from
+        linalg.ARPACK_MIN_N on, and any further ones ARPACK verified, from
+        the leading eigenpairs of the Rs that rho_J factors; None for any
+        other chain and where they are not certified.
+
+        P* P = P^2, and Rs has the eigenvalue 1 on sqrt(mu) and 1/(1 - p)
+        for every other eigenvalue p of P, with the eigenvector u of the
+        symmetric similarity of P: the right vector sqrt(mu) u, unit in
+        l2(1/mu), has the P* P eigenvalue p^2. The leading lambda of Rs
+        give the largest p; their squares lead P* P when the smallest p
+        kept exceeds _floor(), which bounds |p| of every negative p. The
+        inequality is strict, and p at or below _DROP_TOL counts as zero,
+        so that Rs's eigenvalue 1 with its roundoff is never taken as a
+        pair. A reducible P has no resolvent, and roundoff can hide that
+        from the factor: it certifies nothing.
+        """
+        if not (self.reversible and self.P.n >= linalg.ARPACK_MIN_N
+                and is_irreducible(self.P)):
+            return None
+        eig = linalg.leading_eigs(self._scaled_resolvent(False), k - 1,
+                                  symmetric=True, vectors=True)
+        p = 1.0 - 1.0 / eig.values
+        if not p.min() > max(_DROP_TOL, self._floor()):
+            return None
+        m = self.mu.probs
+        return SpectralData(
+            lambdas=np.concatenate([[1.0], p * p]),
+            right_vectors=np.column_stack([m, np.sqrt(m)[:, None] * eig.vectors]))
 
     def rho_hatP(self):
         """rho(P - mu 1^T), the asymptotic rate of the power method. For a
@@ -169,7 +209,7 @@ class ChainRates:
                 # a non-reversible chain has no certificate: -1 fails it
                 rho = (1.0 - 1.0 / float(self._spectrum(part).max())
                        if self.reversible else -1.0)
-                if rho < max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min())):
+                if rho < self._floor():
                     rho = rho_J_direct(error_operator(self.P, self.mu, part))
             memo["rho_J"] = rho
         return memo["rho_J"]
@@ -256,8 +296,9 @@ def norm_bound(P, mu, part):
 
 def sin_theta(P, mu, part, k, sd):
     """Sine of the angle between the span of the k leading eigenvectors
-    of P* P, taken from sd (chain.pstar_p_spectrum), and the range of the
-    coarse interpolation, measured in l2(1/mu), clamped to [0, 1].
+    of P* P, taken from sd (ChainRates.pairs or chain.pstar_p_spectrum),
+    and the range of the coarse interpolation, measured in l2(1/mu),
+    clamped to [0, 1].
 
     With V_k the eigenvectors (orthonormal in l2(1/mu)), sin^2 is the
     largest eigenvalue of the k x k Gram matrix of (I - Pi) V_k in

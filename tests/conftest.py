@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iadrate import chain, coarse, models
+from iadrate import chain, coarse, linalg, models
 from iadrate.coarse import make_partition
 
 
@@ -116,3 +116,19 @@ def count_calls(monkeypatch, fn, *owners):
     for owner in owners:
         monkeypatch.setattr(owner, fn.__name__, counting)
     return calls
+
+
+def count_pair_solves(monkeypatch):
+    """Record the size of every operator linalg.leading_eigs is asked for
+    eigenvectors of: the P* P eigensolves, by chain.pstar_p_spectrum or
+    from the resolvent; returns the list of sizes."""
+    sizes = []
+    solve = linalg.leading_eigs
+
+    def counting(A, k=None, symmetric=False, vectors=False):
+        if vectors:
+            sizes.append(A.shape[0])
+        return solve(A, k, symmetric, vectors)
+
+    monkeypatch.setattr(linalg, "leading_eigs", counting)
+    return sizes

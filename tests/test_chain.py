@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -52,6 +54,37 @@ def test_irreducibility():
     block = chain.StochasticMatrix(mat=np.eye(3))
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(block)
+
+
+def test_is_irreducible_agrees_with_steady_state():
+    # the graph test and GTH's elimination tell the same chains apart:
+    # closed classes, a transient state, two classes of a reversible chain
+    # (dense and CSC), and the diagonal moves on the even 2D grid, which
+    # keep the parity of i + j
+    rng = np.random.default_rng(3)
+    two_class, _ = random_reversible_chain(rng, 12, split=6, coupling=0.0)
+    coupled, _ = random_reversible_chain(rng, 12, split=6, coupling=1e-3)
+    spec = dataclasses.replace(models.benchmark_chain_2d_spec(), N=10)
+    chains = {
+        "shift": models.right_shift(4),
+        "identity": chain.StochasticMatrix(mat=np.eye(3)),
+        "transient": chain.StochasticMatrix(mat=np.array([[1.0, 1.0], [0.0, 0.0]])),
+        "two classes": two_class,
+        "two classes, CSC": chain.StochasticMatrix(mat=scipy.sparse.csc_array(two_class.mat)),
+        "coupled": coupled,
+        "2D axis moves": models.reversible_chain_2d(models.boltzmann_2d(spec), spec),
+    }
+    spec = dataclasses.replace(spec, move_set="diagonal")
+    chains["2D diagonal moves"] = models.reversible_chain_2d(models.boltzmann_2d(spec), spec)
+    for name, P in chains.items():
+        try:
+            chain.steady_state(P)
+            expect = True
+        except ReducibleMatrixError:
+            expect = False
+        assert chain.is_irreducible(P) == expect, name
+    assert chain.is_irreducible(chains["2D axis moves"])
+    assert not chain.is_irreducible(chains["2D diagonal moves"])
 
 
 def test_ptp_irreducible_marek_false():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import iadrate
-from conftest import count_calls
+from conftest import count_calls, count_pair_solves
 from iadrate import chain, cli, coarse, diagnostics, linalg, models
 from iadrate.cli import main
 
@@ -200,17 +200,21 @@ def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
     # the three 1D chains (alpha = 0, 0.05, 0.15) and the 2D chain are
     # each prepared once for all seven CSVs: one build_model per chain, one
     # fine GTH solve per mixture, one reversibility test and one P* P
-    # eigensolve per chain; rho(P_hat) takes an eigensolve of P_hat only
-    # on the two non-reversible chains
+    # eigensolve per chain, by pstar_p_spectrum on the dense 1D chains and
+    # from the resolvent on the 2D chain; rho(P_hat) takes an eigensolve
+    # of P_hat only on the two non-reversible chains
     builds = count_calls(monkeypatch, models.build_model, models)
     solves = count_calls(monkeypatch, chain.steady_state, chain, diagnostics)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
     spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
+    pair_solves = count_pair_solves(monkeypatch)
     direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
     assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0
     assert len(builds) == 4
     assert [args[0].n for args in solves] == [100, 100]
-    assert len(tests) == 4 and len(spectra) == 4
+    assert len(tests) == 4
+    assert [args[0].n for args in spectra] == [100, 100, 100]
+    assert sorted(pair_solves) == [100, 100, 100, 2500]
     assert len(direct) == 2
     assert (tmp_path / "table1.csv").read_text().splitlines()[1:] == [
         "2,0.999992,5.09", "3,0.991441,2.07", "4,0.986243,1.86",
@@ -219,11 +223,12 @@ def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
 
 def test_table4_prepares_the_2d_chain_once(monkeypatch):
     # both columns share one reversibility test and one P* P eigensolve,
-    # and reproduce the reference table
+    # from the resolvent, and reproduce the reference table
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
     spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
+    pair_solves = count_pair_solves(monkeypatch)
     header, rows = cli._table4_rows([2, 3])
-    assert len(tests) == 1 and len(spectra) == 1
+    assert len(tests) == 1 and spectra == [] and pair_solves == [2500]
     assert [header] + [",".join(row) for row in rows] == TABLE4.read_text().splitlines()
 
 

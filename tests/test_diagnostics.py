@@ -664,3 +664,54 @@ def test_split_sweep_uses_no_scipy_linalg(monkeypatch, alpha, fig):
     assert f"{rho:.6f}" == ref["rho"]
     assert f"{nb:.6f}" == ref["norm_bound"]
     assert f"{ab:.6f}" == ref["angle_bound"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(20, 60), st.floats(0.2, 1.0), st.sampled_from([1.0, 1e-3, 0.0]),
+       st.integers(0, 10_000))
+def test_resolvent_pairs_match_pstar_p_spectrum(N, fill, coupling, seed):
+    # on the ARPACK branch a reversible chain's P* P pairs come from the
+    # eigenpairs of the scaled resolvent wherever they are certified:
+    # always when every P_jj >= 1/2 (fill <= 1/2), where P has no negative
+    # eigenvalue and the floor is 0, unless P is reducible (coupling 0)
+    # and has no resolvent. Elsewhere they are pstar_p_spectrum's,
+    # bit for bit. Either way the lambdas, sin theta and the angle bounds
+    # are pstar_p_spectrum's
+    rng = np.random.default_rng(seed)
+    P, mu = random_reversible_chain(rng, N, split=N // 2, coupling=coupling,
+                                    fill=fill)
+    part = random_partition(rng, N, int(rng.integers(2, 8)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ARPACK_MIN_N", 10)
+        oracle = chain.pstar_p_spectrum(P, mu, 4)
+        spectra = count_calls(mp, chain.pstar_p_spectrum, diagnostics)
+        rates = diagnostics.ChainRates(P, mu)
+        sd = rates.pairs(4)
+        angles = [rates.angle(part, k) for k in (2, 3)]
+    if fill <= 0.5 and coupling > 0.0:
+        assert spectra == []
+    if spectra:
+        assert _same_pairs(sd, oracle, len(oracle.lambdas))
+    assert np.max(np.abs(sd.lambdas[:4] - oracle.lambdas[:4])) < 1e-10
+    for k, (s2, bound) in zip((2, 3), angles):
+        s = diagnostics.sin_theta(P, mu, part, k, oracle)
+        assert s2 == pytest.approx(s * s, abs=1e-10)
+        if oracle.lambdas[1] < 1.0:
+            expect = diagnostics.angle_bound(oracle.lambdas, s * s, k, True)
+            assert bound == pytest.approx(expect, abs=1e-10)
+        else:
+            assert np.isnan(bound)
+
+
+def test_uncertified_resolvent_pairs_fall_back_to_pstar_p_spectrum(monkeypatch):
+    # the lazy cycle's floor is 0.9 and the sixth largest p of its resolvent
+    # pairs 0.895, so the certificate fails: the pairs are then
+    # pstar_p_spectrum's, bit for bit
+    P, mu = _lazy_cycle()
+    monkeypatch.setattr(linalg, "ARPACK_MIN_N", 10)
+    spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, diagnostics)
+    sd = diagnostics.ChainRates(P, mu).pairs(4)
+    assert len(spectra) == 1
+    oracle = chain.pstar_p_spectrum(P, mu, 4)
+    assert len(sd.lambdas) == len(oracle.lambdas)
+    assert _same_pairs(sd, oracle, len(oracle.lambdas))
