@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import chain, coarse, diagnostics, iad, models
+from . import chain, diagnostics, iad, models
 from .errors import IadError, NonConvergenceError
 
 
@@ -29,16 +29,12 @@ def _neglog(x):
 
 def _load_model(args):
     """(config, P, mu or None, partition or None) from --model and, on the
-    commands that take it, --partition: a partition file, or an inline
-    spec that replaces the config's partition keys."""
+    commands that take it, --partition, which replaces the config's
+    partition."""
     cfg = models.load_config(args.model) if args.model else {}
-    text = vars(args).get("partition")
-    from_file = text is not None and os.path.exists(text)
-    if text is not None and not from_file:
-        cfg = models.with_partition(cfg, text)
+    if vars(args).get("partition") is not None:
+        cfg["partition"] = args.partition
     P, mu, part = models.build_model(cfg)
-    if from_file:
-        part = coarse.load_partition(text)
     if part is None and "partition" in vars(args):
         raise ValueError("no partition given (use --partition or the config)")
     return cfg, P, mu, part
@@ -135,11 +131,9 @@ def _shift_study_rows(chains, max_n):
     rows = []
     for n in range(1, max_n + 1):
         for a, rates in sorted(chains.items()):
-            parts = {}
-            for ell in range(0, rates.P.n // n + 1):
-                part = models.uniform1d(rates.P.n, n, ell)
-                parts.setdefault(part.assignment.tobytes(), part)
-            r = max(rates.rho_J(part) for part in parts.values())
+            # ChainRates keeps the last partition's rate: at n = 1 all are equal
+            r = max(rates.rho_J(models.uniform1d(rates.P.n, n, ell))
+                    for ell in range(0, rates.P.n // n + 1))
             rows.append([str(n), _fmt(a), _fmt(r), _neglog(r)])
     return rows
 

@@ -4,6 +4,7 @@ in the experiments, and small pathological fixtures.
 """
 
 import inspect
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -11,7 +12,8 @@ import numpy as np
 import scipy.sparse
 
 from .chain import ProbabilityVector, StochasticMatrix, validate
-from .coarse import make_partition, singleton_partition, trivial_partition
+from .coarse import (load_partition, make_partition, singleton_partition,
+                     trivial_partition)
 from .errors import PartitionError
 
 
@@ -295,7 +297,7 @@ def pathological_fixtures():
 
 def load_config(path):
     """Parse a flat key=value model config file into a dict (the keys are
-    checked by build_model)."""
+    checked by build_model); a key given twice raises ValueError."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -305,22 +307,10 @@ def load_config(path):
             if "=" not in line:
                 raise ValueError(f"load_config: bad line {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"load_config: duplicate key {key!r}")
             cfg[key] = val
     return cfg
-
-
-def with_partition(cfg, text):
-    """cfg with its partition.* keys replaced by those of an inline
-    `kind:key=val,...` spec such as `split1d:ell=57` or `trivial`."""
-    kind, _, rest = text.partition(":")
-    out = {k: v for k, v in cfg.items() if not k.startswith("partition.")}
-    out["partition.kind"] = kind
-    for piece in filter(None, rest.split(",")):
-        key, eq, val = piece.partition("=")
-        if not eq:
-            raise PartitionError(f"partition {text!r}: expected key=val, got {piece!r}")
-        out[f"partition.{key.strip()}"] = val
-    return out
 
 
 def _parse(typ, key, val, where, error=ValueError):
@@ -330,21 +320,44 @@ def _parse(typ, key, val, where, error=ValueError):
         raise error(f"{where} {key!r}: expected {typ.__name__}, got {val!r}") from None
 
 
+def _partition(text, n, side):
+    """The partition of the file at path `text` written by
+    coarse.save_partition, or of an inline `kind:key=val,...` spec such as
+    `split1d:ell=57` or `trivial`, sized by the model: N is the grid side
+    `side` for the 2D kinds and the state count `n` otherwise."""
+    if os.path.exists(text):
+        return load_partition(text)
+    kind, _, rest = text.partition(":")
+    params = {}
+    for piece in filter(None, rest.split(",")):
+        key, eq, val = piece.partition("=")
+        if not eq:
+            raise PartitionError(f"partition {text!r}: expected key=val, got {piece!r}")
+        params[key.strip()] = val
+    if "N" in params:
+        raise PartitionError("partition N is set by the model")
+    if kind in _GRID_KINDS and side is None:
+        raise PartitionError(f"partition {kind!r} needs a model on a 2D grid")
+    return partition_families(kind, N=side if kind in _GRID_KINDS else n, **{
+        k: _parse(int, k, v, f"partition {kind!r}: parameter", PartitionError)
+        for k, v in params.items()})
+
+
 def build_model(cfg):
     """Instantiate (P, mu_or_None, partition_or_None) from a config dict.
 
     `model` is chain1d (default), chain2d or a pathological fixture. The
     chains take `alpha` (left-shift mixing weight) and the fields of their
     benchmark spec but the potential; any other key raises ValueError.
-    `partition.kind` and its constructor's parameters but N name the
-    partition; N is the chain2d grid side for the 2D kinds and the state
-    count otherwise. mu is returned only when it is analytically known
-    (Boltzmann chains with alpha = 0).
+    `partition` is the text `--partition` takes: the path of a partition
+    file, or an inline spec naming a kind of partition_families and its
+    int parameters but N, which comes from the model (see _partition); it
+    replaces a fixture's own partition. mu is returned only when it is
+    analytically known (Boltzmann chains with alpha = 0).
     """
     cfg = dict(cfg)
     kind = cfg.pop("model", "chain1d")
-    params = {key.split(".", 1)[1]: cfg.pop(key)
-              for key in list(cfg) if key.startswith("partition.")}
+    text = cfg.pop("partition", None)
     fixtures = pathological_fixtures()
     specs = {"chain1d": benchmark_chain_1d_spec(), "chain2d": benchmark_chain_2d_spec()}
     if kind not in fixtures and kind not in specs:
@@ -372,16 +385,6 @@ def build_model(cfg):
         part = None
         if alpha != 0.0:
             P, mu = mix(P, left_shift(P.n), alpha), None
-    if params:
-        pkind = params.pop("kind", None)
-        if pkind is None:
-            raise PartitionError(f"partition keys {sorted(params)} without partition.kind")
-        if "N" in params:
-            raise PartitionError("partition N is set by the model")
-        if pkind in _GRID_KINDS and side is None:
-            raise PartitionError(f"partition {pkind!r} needs a model on a 2D grid")
-        N = side if pkind in _GRID_KINDS else P.n
-        part = partition_families(pkind, N=N, **{
-            k: _parse(int, k, v, f"partition {pkind!r}: parameter", PartitionError)
-            for k, v in params.items()})
+    if text is not None:
+        part = _partition(text, P.n, side)
     return P, mu, part

@@ -77,8 +77,7 @@ def test_spectrum_values(tmp_path):
 
 
 def test_report_json(tmp_path):
-    cfg = write_cfg(tmp_path, "model = chain1d\npartition.kind = split1d\n"
-                              "partition.ell = 57\n")
+    cfg = write_cfg(tmp_path, "model = chain1d\npartition = split1d:ell=57\n")
     code = main(["report", "--model", cfg, "--out", str(tmp_path),
                  "--k-list", "2"])
     assert code == 0
@@ -93,8 +92,9 @@ def _no_nan(token):
 
 
 def test_report_json_writes_null_for_undefined_bounds(tmp_path):
-    # diagonal moves make the even grid bipartite: lambda_2 = 1, and the
-    # angle bounds are undefined
+    # diagonal moves keep the parity of i + j, so on the even grid the
+    # chain has two closed classes: lambda_2 = 1, and the angle bounds are
+    # undefined
     cfg = write_cfg(tmp_path, "model = chain2d\nN = 10\nmove_set = diagonal\n")
     assert main(["report", "--model", cfg, "--partition", "grid2d:s=2",
                  "--out", str(tmp_path)]) == 0
@@ -272,8 +272,8 @@ def test_module_entry_point_warns_nothing():
 
 @pytest.mark.parametrize("cfg_text, flags, column", [
     ("model = chain2d\n", ["--partition", "stripes2d:s=3"], "stripes2d:s=3"),
-    ("model = chain2d\npartition.kind = grid2d\npartition.s = 6\n", [],
-     "grid2d:s=6"),
+    pytest.param("model = chain2d\npartition = grid2d:s=6\n", [], "grid2d:s=6",
+                 id="partition-key-grid2d:s=6"),
 ])
 def test_report_chain2d_matches_table4(tmp_path, cfg_text, flags, column):
     with open(TABLE4, newline="") as fh:
@@ -298,7 +298,7 @@ def test_report_singleton_partition(tmp_path):
 
 def test_report_chain2d_trivial_partition(tmp_path):
     # the single stratum sizes by the 2500 states, not the grid side
-    cfg = write_cfg(tmp_path, "model = chain2d\npartition.kind = trivial\n")
+    cfg = write_cfg(tmp_path, "model = chain2d\npartition = trivial\n")
     assert main(["report", "--model", cfg, "--k-list", "2",
                  "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
@@ -308,8 +308,8 @@ def test_report_chain2d_trivial_partition(tmp_path):
 @pytest.mark.parametrize("cfg_text, argv, message", [
     ("", ["solve", "--partition", "split1d"], "missing ['ell']"),
     ("", ["solve", "--partition", "split1d:foo=3"], "unknown ['foo']"),
-    ("partition.kind = split1d\npartition.el = 57\n", ["solve"],
-     "unknown ['el']"),
+    # a last line without its newline is read too
+    ("partition = split1d:el=57", ["solve"], "unknown ['el']"),
     ("", ["solve", "--partition", "split1d:ell=57,N=100"], "set by the model"),
     ("", ["solve", "--partition", "grid2d:s=2"], "needs a model on a 2D grid"),
     ("model = marek\nalpha = 0.5\n", ["spectrum"], "'alpha'"),
@@ -336,6 +336,8 @@ def test_report_chain2d_trivial_partition(tmp_path):
      "norm_bound: P* P is reducible (lambda_2 = 1)"),
     ("model = periodic_shift\n", ["report", "--k-list", "2"],
      "norm_bound: P* P is reducible (lambda_2 = 1)"),
+    ("partition = split1d:ell=57\npartition = trivial\n", ["solve"],
+     "duplicate key 'partition'"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):
@@ -364,13 +366,13 @@ _KINDS = [
       for k, p in _KINDS if k != "uniform1d"],
 ])
 def test_partition_flag_and_config_agree(tmp_path, model, kind, params, expect):
-    keys = "".join(f"partition.{k} = {v}\n" for k, v in params.items())
-    from_cfg = write_cfg(tmp_path, f"model = {model}\npartition.kind = {kind}\n"
-                         + keys, "with.cfg")
-    # the flag replaces every partition key of the config
-    stale = write_cfg(tmp_path, f"model = {model}\npartition.kind = trivial\n"
-                      "partition.n = 9\n", "stale.cfg")
     spec = ":".join([kind] + [",".join(f"{k}={v}" for k, v in params.items())])
+    from_cfg = write_cfg(tmp_path, f"model = {model}\npartition = {spec}\n",
+                         "with.cfg")
+    # the flag replaces the config's partition, which is never read: as a
+    # spec, trivial:n=9 is an error
+    stale = write_cfg(tmp_path, f"model = {model}\npartition = trivial:n=9\n",
+                      "stale.cfg")
     parse = cli.make_parser().parse_args
     *_, part_cfg = cli._load_model(parse(["solve", "--model", from_cfg]))
     *_, part_flag = cli._load_model(
@@ -383,9 +385,12 @@ def test_partition_flag_and_config_agree(tmp_path, model, kind, params, expect):
 def test_partition_file(tmp_path, capsys):
     path = tmp_path / "part.txt"
     coarse.save_partition(path, models.split1d(100, 57))
-    *_, part = cli._load_model(cli.make_parser().parse_args(
-        ["report", "--partition", str(path)]))
-    assert np.array_equal(part.assignment, models.split1d(100, 57).assignment)
+    # the flag and the config's partition key take the same path
+    cfg = write_cfg(tmp_path, f"partition = {path}\n")
+    parse = cli.make_parser().parse_args
+    for argv in (["report", "--partition", str(path)], ["report", "--model", cfg]):
+        *_, part = cli._load_model(parse(argv))
+        assert np.array_equal(part.assignment, models.split1d(100, 57).assignment)
     coarse.save_partition(path, models.split1d(4, 1))
     assert main(["report", "--partition", str(path), "--out", str(tmp_path)]) == 1
     assert "does not match partition" in capsys.readouterr().err

@@ -650,8 +650,7 @@ def test_split_sweep_uses_no_scipy_linalg(monkeypatch, alpha, fig):
                  "eigvalsh", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     P, mu, part = models.build_model({"alpha": alpha,
-                                      "partition.kind": "split1d",
-                                      "partition.ell": 57})
+                                      "partition": "split1d:ell=57"})
     mu = chain.steady_state(P) if mu is None else mu
     sd = chain.pstar_p_spectrum(P, mu, 3)
     rho = diagnostics.rho_J_direct(diagnostics.error_operator(P, mu, part))

@@ -228,8 +228,7 @@ def test_pathological_fixtures_shapes():
 def test_load_config_and_build_model(tmp_path):
     cfg_path = tmp_path / "model.cfg"
     cfg_path.write_text(
-        "model = chain1d\nN = 100\n# comment\npartition.kind = split1d\n"
-        "partition.ell = 57\n")
+        "model = chain1d\nN = 100\n# comment\npartition = split1d:ell=57\n")
     cfg = models.load_config(cfg_path)
     P, mu, part = models.build_model(cfg)
     assert P.n == 100
@@ -260,16 +259,16 @@ def test_build_model_overrides_the_benchmark_spec():
     ({"model": "chain1d", "c": "0"}, ValueError, "'c'"),
     ({"model": "chain2d", "park_variant": "1"}, ValueError, "'park_variant'"),
     ({"model": "chain1d", "alpha": "-0.1"}, ValueError, "alpha"),
-    ({"partition.kind": "grid2d", "partition.s": "2"}, PartitionError, "2D grid"),
-    ({"partition.kind": "split1d", "partition.el": "57"}, PartitionError,
+    ({"partition": "grid2d:s=2"}, PartitionError, "2D grid"),
+    ({"partition": "split1d:el=57"}, PartitionError,
      r"unknown \['el'\], missing \['ell'\]"),
-    ({"partition.ell": "57"}, PartitionError, "without partition.kind"),
-    ({"partition.kind": "split1d", "partition.ell": "57", "partition.N": "100"},
-     PartitionError, "set by the model"),
-    ({"partition.kind": "split1d", "partition.ell": "x"}, PartitionError,
+    ({"partition.kind": "split1d"}, ValueError, "unknown key 'partition.kind'"),
+    ({"partition": "split1d:ell=57,N=100"}, PartitionError, "set by the model"),
+    ({"partition": "split1d:ell=x"}, PartitionError,
      "partition 'split1d': parameter 'ell'"),
     ({"model": "chain1d", "N": "abc"}, ValueError, "key 'N'"),
     ({"model": "chain2d", "alpha": "x"}, ValueError, "key 'alpha'"),
+    ({"partition": "split1d:ell"}, PartitionError, "expected key=val, got 'ell'"),
 ])
 def test_build_model_rejects(cfg, error, match):
     with pytest.raises(error, match=match):
