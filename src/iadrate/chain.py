@@ -187,10 +187,10 @@ def deviation(P, mu):
 
 def is_irreducible(P):
     """Whether the graph of P's nonzero entries is strongly connected: the
-    exact test of irreducibility when mu is given and steady_state, which
-    makes it by elimination, does not run."""
-    # imported here: loading csgraph adds about 1 MB to the peak RSS of
-    # every workload, and only a large reversible report calls this
+    exact test of irreducibility where steady_state, which makes it by
+    elimination, does not run, as for a given mu or for P* P."""
+    # imported here: loading csgraph adds about 1 MB to the peak RSS, and
+    # every ChainRates given mu calls this, but the solves never do
     import scipy.sparse.csgraph
 
     return scipy.sparse.csgraph.connected_components(

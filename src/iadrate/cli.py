@@ -131,9 +131,10 @@ def _shift_study_rows(chains, max_n):
     rows = []
     for n in range(1, max_n + 1):
         for a, rates in sorted(chains.items()):
-            # ChainRates keeps the last partition's rate: at n = 1 all are equal
+            # ceil(N / n) shifts: when n | N, shift N // n has the strata of
+            # shift 0. ChainRates keeps the last rate: at n = 1 all are equal
             r = max(rates.rho_J(models.uniform1d(rates.P.n, n, ell))
-                    for ell in range(0, rates.P.n // n + 1))
+                    for ell in range(-(-rates.P.n // n)))
             rows.append([str(n), _fmt(a), _fmt(r), _neglog(r)])
     return rows
 

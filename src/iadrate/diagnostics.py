@@ -14,6 +14,7 @@ import numpy as np
 from . import linalg
 from .chain import (
     SpectralData,
+    StochasticMatrix,
     deviation,
     is_irreducible,
     is_reversible,
@@ -22,8 +23,7 @@ from .chain import (
     time_reversal,
 )
 from .coarse import coarse_projection, complement, is_refinement
-from .errors import (PartitionError, ReducibleMatrixError, RefinementError,
-                     SingularMatrixError)
+from .errors import PartitionError, ReducibleMatrixError, RefinementError
 
 # Eigenvalues of K below this times its largest modulus count as zero.
 _DROP_TOL = 1e-9
@@ -57,19 +57,25 @@ def rho_J_direct(J):
 class ChainRates:
     """The rate quantities of one chain for any number of its partitions.
 
-    What depends on the chain alone is computed at most once: the
-    reversibility test here, and when first needed the scaled resolvent
-    of P, for a non-reversible chain that of P* P, the leading P* P
-    eigenpairs and rho(P_hat). What depends on the partition is kept
-    for the last one asked about: the spectra of the projected
-    resolvents, which rho_J, the exact formula and the norm bound read,
-    and rho_J. mu defaults to the steady state of P.
+    P must be irreducible: the steady state mu defaults to refuses a
+    reducible P, and a given mu is checked on the graph of P, both with
+    ReducibleMatrixError. What depends on the chain alone is computed at
+    most once: the reversibility test and rho_J's Gershgorin floor here,
+    and when first needed the scaled resolvent of P, for a non-reversible
+    chain that of P* P, the leading P* P eigenpairs and rho(P_hat). What
+    depends on the partition is kept for the last one asked about: the
+    spectra of the projected resolvents, which rho_J, the exact formula
+    and the norm bound read, and rho_J.
     """
 
     def __init__(self, P, mu=None):
-        self.P = P
-        self.mu = steady_state(P) if mu is None else mu
-        self.reversible = bool(is_reversible(P, self.mu))
+        if mu is None:
+            mu = steady_state(P)
+        elif not is_irreducible(P):
+            raise ReducibleMatrixError("ChainRates: P is reducible, mu is not unique")
+        self.P, self.mu = P, mu
+        self.reversible = bool(is_reversible(P, mu))
+        self.floor = max(0.0, 1.0 - 2.0 * float(P.mat.diagonal().min()))
         self._sd = self._rho_hatP = None
         self._Rs = {}
         self._last = (None, {})
@@ -83,6 +89,10 @@ class ChainRates:
         if pstar_p not in self._Rs:
             Q = (time_reversal(self.P, self.mu).mat @ self.P.mat if pstar_p
                  else self.P.mat)
+            if pstar_p and not is_irreducible(StochasticMatrix(mat=Q)):
+                raise ReducibleMatrixError(
+                    "norm_bound: P* P is reducible (lambda_2 = 1); the "
+                    "non-reversible norm bound is undefined")
             R = linalg.resolvent(Q, self.mu.probs)
             sm = np.sqrt(self.mu.probs)
             if self.P.n < linalg.ARPACK_MIN_N:
@@ -92,11 +102,6 @@ class ChainRates:
                 Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
             self._Rs[pstar_p] = Rs
         return self._Rs[pstar_p]
-
-    def _floor(self):
-        """max(0, 1 - 2 min_j P_jj): by Gershgorin on the columns of P, no
-        eigenvalue of P lies below minus this."""
-        return max(0.0, 1.0 - 2.0 * float(self.P.mat.diagonal().min()))
 
     def pairs(self, k):
         """At least k leading eigenpairs of P* P, solved again only for more:
@@ -118,19 +123,16 @@ class ChainRates:
         symmetric similarity of P: the right vector sqrt(mu) u, unit in
         l2(1/mu), has the P* P eigenvalue p^2. The leading lambda of Rs
         give the largest p; their squares lead P* P when the smallest p
-        kept exceeds _floor(), which bounds |p| of every negative p. The
+        kept exceeds the floor, which bounds |p| of every negative p. The
         inequality is strict, and p at or below _DROP_TOL counts as zero,
-        so that Rs's eigenvalue 1 with its roundoff is never taken as a
-        pair. A reducible P has no resolvent, and roundoff can hide that
-        from the factor: it certifies nothing.
+        so that Rs's eigenvalue 1 with its roundoff is never a pair.
         """
-        if not (self.reversible and self.P.n >= linalg.ARPACK_MIN_N
-                and is_irreducible(self.P)):
+        if not (self.reversible and self.P.n >= linalg.ARPACK_MIN_N):
             return None
         eig = linalg.leading_eigs(self._scaled_resolvent(False), k - 1,
                                   symmetric=True, vectors=True)
         p = 1.0 - 1.0 / eig.values
-        if not p.min() > max(_DROP_TOL, self._floor()):
+        if not p.min() > max(_DROP_TOL, self.floor):
             return None
         m = self.mu.probs
         return SpectralData(
@@ -209,7 +211,7 @@ class ChainRates:
                 # a non-reversible chain has no certificate: -1 fails it
                 rho = (1.0 - 1.0 / float(self._spectrum(part).max())
                        if self.reversible else -1.0)
-                if rho < self._floor():
+                if rho < self.floor:
                     rho = rho_J_direct(error_operator(self.P, self.mu, part))
             memo["rho_J"] = rho
         return memo["rho_J"]
@@ -234,17 +236,13 @@ class ChainRates:
         rho(J), and rho_J is returned. Non-reversible chain: K built from
         Q = P* P puts P_hat* P_hat inside it and bounds rho^2 by
         1 - 1/||K||, with ||K|| in l2(1/mu) the largest eigenvalue of the
-        symmetric M of _spectrum; its square root is returned. Singleton
+        symmetric M of _spectrum; its square root is returned, and a
+        reducible P* P (lambda_2 = 1) raises ReducibleMatrixError. Singleton
         strata give J = 0: 0.
         """
         if self.reversible or part.n == self.P.n:
             return self.rho_J(part)
-        try:
-            lam = self._spectrum(part, pstar_p=True)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                "norm_bound: P* P is reducible (lambda_2 = 1); the non-reversible "
-                "norm bound is undefined") from exc
+        lam = self._spectrum(part, pstar_p=True)
         return float(np.sqrt(1.0 - 1.0 / float(lam.max())))
 
     def angle(self, part, k):

@@ -151,11 +151,11 @@ def resolvent(Q, m):
     Q (array or sparse) with Q m = m and 1^T m = 1.
 
     Sparse LU factors B = I - Q + e_r e_r^T once, r the largest entry of
-    m; B is nonsingular when Q is irreducible. Its columns are ordered by
-    minimum degree on the pattern of B^T + B, which is symmetric or
-    nearly so for the model chains: on the 50x50 chain L + U holds 94k
-    nonzeros against 201k in SuperLU's default COLAMD order, and a solve
-    takes a third of the time. The rank-two remainder
+    m; B is nonsingular when Q is irreducible, which its callers establish.
+    Its columns are ordered by minimum degree on the pattern of B^T + B,
+    symmetric or nearly so for the model chains: on the 50x50 chain
+    L + U holds 94k nonzeros against 201k in SuperLU's default COLAMD
+    order, and a solve takes a third of the time. The rank-two remainder
     m 1^T - e_r e_r^T has a closed-form Woodbury correction, because
     1^T B = e_r^T and B m = m_r e_r: with c = 1^T x and
     y = B^{-1} (x - m c), the result is m c + y - m (1^T y).

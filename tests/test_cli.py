@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -91,17 +92,27 @@ def _no_nan(token):
     raise ValueError(f"report.json holds the bare token {token}")
 
 
-def test_report_json_writes_null_for_undefined_bounds(tmp_path):
-    # diagonal moves keep the parity of i + j, so on the even grid the
-    # chain has two closed classes: lambda_2 = 1, and the angle bounds are
-    # undefined
-    cfg = write_cfg(tmp_path, "model = chain2d\nN = 10\nmove_set = diagonal\n")
-    assert main(["report", "--model", cfg, "--partition", "grid2d:s=2",
+def test_report_json_writes_null_for_undefined_bounds(tmp_path, monkeypatch):
+    # the angle bounds are NaN when lambda_2 = 1, and the exact formula
+    # when its partial spectrum falls short of rho_J; such a report is
+    # written with null in their place
+    report = diagnostics.full_report
+
+    def undefined(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        return dataclasses.replace(
+            rep, rho_exact_formula=float("nan"),
+            angle_bounds={k: (s2, float("nan"))
+                          for k, (s2, _) in rep.angle_bounds.items()})
+
+    monkeypatch.setattr(diagnostics, "full_report", undefined)
+    cfg = write_cfg(tmp_path, "model = reducible_coarse\n")
+    assert main(["report", "--model", cfg, "--k-list", "2",
                  "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "report.json").read_text(),
                      parse_constant=_no_nan)
-    assert rep["angle_bound_k2"] is None and rep["angle_bound_k3"] is None
-    assert rep["sin2theta_k2"] is not None
+    assert rep["angle_bound_k2"] is None and rep["rho_exact_formula"] is None
+    assert rep["sin2theta_k2"] is not None and rep["rho_J"] is not None
 
 
 def test_report_angle_bound_on_roundoff_negative_eigenvalue(tmp_path):
@@ -141,9 +152,10 @@ def test_shift_study_prints_negative_zero_alpha_as_zero(tmp_path):
 
 
 def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatch):
-    # n = 1 gives the same trivial partition for all 101 shifts, n = 2
-    # gives 51 distinct ones: 52 dense spectra of the projected
-    # resolvent, one per distinct partition, not 152
+    # n = 1 gives the same trivial partition for all 100 shifts, n = 2
+    # gives 50 distinct sets of strata (shift 50 would repeat shift 0's
+    # with swapped labels): 51 dense spectra of the projected resolvent,
+    # one per distinct set of strata, not 150
     calls = []
     spectrum = diagnostics.ChainRates._spectrum
 
@@ -155,8 +167,8 @@ def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatc
     solves = count_calls(monkeypatch, linalg.leading_eigs, linalg)
     assert main(["shift-study", "--alpha", "0", "--max-n", "2",
                  "--out", str(tmp_path)]) == 0
-    assert len(calls) == len(set(calls)) == 52
-    assert len(solves) == 52
+    assert len(calls) == len(set(calls)) == 51
+    assert len(solves) == 51
     assert all(isinstance(args[0], np.ndarray) and args[0].shape == (100, 100)
                for args in solves)
 
@@ -305,6 +317,9 @@ def test_report_chain2d_trivial_partition(tmp_path):
     assert rep["rho_J"] == pytest.approx(rep["rho_hatP"], abs=1e-8)
 
 
+_DIAGONAL = "model = chain2d\nN = {N}\nmove_set = diagonal\n"
+
+
 @pytest.mark.parametrize("cfg_text, argv, message", [
     ("", ["solve", "--partition", "split1d"], "missing ['ell']"),
     ("", ["solve", "--partition", "split1d:foo=3"], "unknown ['foo']"),
@@ -338,6 +353,13 @@ def test_report_chain2d_trivial_partition(tmp_path):
      "norm_bound: P* P is reducible (lambda_2 = 1)"),
     ("partition = split1d:ell=57\npartition = trivial\n", ["solve"],
      "duplicate key 'partition'"),
+    # diagonal moves keep the parity of i + j: two closed classes, on the
+    # dense branch (100 states) and on the ARPACK branch (400)
+    (_DIAGONAL.format(N=10), ["report", "--partition", "grid2d:s=2"],
+     "P is reducible"),
+    (_DIAGONAL.format(N=20), ["report", "--partition", "grid2d:s=2"],
+     "P is reducible"),
+    (_DIAGONAL.format(N=10), ["spectrum"], "P is reducible"),
 ])
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):
@@ -346,7 +368,7 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
     assert main([*argv, *model, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and message in err
-    assert not any(tmp_path.glob("*.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.cfg"]
 
 
 _KINDS = [

@@ -610,7 +610,7 @@ def test_cyclic_shift_on_arpack_matches_lapack_or_raises(N):
         assert not isinstance(dense, IadError), (dense, arpack)
         assert np.allclose(arpack, dense, atol=1e-8, equal_nan=True)
     # lambda_2 = 1 leaves no angle bound; the dense report raises first,
-    # in the non-reversible norm bound, whose resolvent is singular
+    # in the non-reversible norm bound, whose P* P = I is reducible
     assert chain.pstar_p_spectrum(P, mu, 2).lambdas[1] == pytest.approx(1.0)
     assert isinstance(_outcome(report), IadError)
 
@@ -672,14 +672,18 @@ def test_resolvent_pairs_match_pstar_p_spectrum(N, fill, coupling, seed):
     # on the ARPACK branch a reversible chain's P* P pairs come from the
     # eigenpairs of the scaled resolvent wherever they are certified:
     # always when every P_jj >= 1/2 (fill <= 1/2), where P has no negative
-    # eigenvalue and the floor is 0, unless P is reducible (coupling 0)
-    # and has no resolvent. Elsewhere they are pstar_p_spectrum's,
+    # eigenvalue and the floor is 0. Elsewhere they are pstar_p_spectrum's,
     # bit for bit. Either way the lambdas, sin theta and the angle bounds
-    # are pstar_p_spectrum's
+    # are pstar_p_spectrum's. A reducible P (coupling 0) has no resolvent
+    # and no unique mu: ChainRates refuses it
     rng = np.random.default_rng(seed)
     P, mu = random_reversible_chain(rng, N, split=N // 2, coupling=coupling,
                                     fill=fill)
     part = random_partition(rng, N, int(rng.integers(2, 8)))
+    if coupling == 0.0:
+        with pytest.raises(ReducibleMatrixError, match="reducible"):
+            diagnostics.ChainRates(P, mu)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "ARPACK_MIN_N", 10)
         oracle = chain.pstar_p_spectrum(P, mu, 4)
@@ -687,7 +691,7 @@ def test_resolvent_pairs_match_pstar_p_spectrum(N, fill, coupling, seed):
         rates = diagnostics.ChainRates(P, mu)
         sd = rates.pairs(4)
         angles = [rates.angle(part, k) for k in (2, 3)]
-    if fill <= 0.5 and coupling > 0.0:
+    if fill <= 0.5:
         assert spectra == []
     if spectra:
         assert _same_pairs(sd, oracle, len(oracle.lambdas))
@@ -714,3 +718,55 @@ def test_uncertified_resolvent_pairs_fall_back_to_pstar_p_spectrum(monkeypatch):
     oracle = chain.pstar_p_spectrum(P, mu, 4)
     assert len(sd.lambdas) == len(oracle.lambdas)
     assert _same_pairs(sd, oracle, len(oracle.lambdas))
+
+
+def _reducible_chain(rng, N, kind):
+    """(P, mu) of a reducible chain: two closed classes [0, N // 2) and
+    [N // 2, N) with an invariant mu, reversible or not, or a random chain
+    with one transient state, which no state enters, and mu None."""
+    if kind == "two reversible classes":
+        return random_reversible_chain(rng, N, split=N // 2, coupling=0.0)
+    if kind == "transient state":
+        raw = rng.random((N, N)) + 0.5 * np.eye(N)
+        t = int(rng.integers(N))
+        raw[t, np.arange(N) != t] = 0.0
+        return chain.StochasticMatrix(mat=raw / raw.sum(axis=0)), None
+    P, mu = np.zeros((N, N)), np.empty(N)
+    for block in (slice(0, N // 2), slice(N // 2, N)):
+        Q = random_chain(rng, block.stop - block.start)
+        P[block, block] = Q.mat
+        mu[block] = chain.steady_state(Q).probs * rng.uniform(0.2, 0.8)
+    return chain.StochasticMatrix(mat=P), chain.ProbabilityVector(probs=mu / mu.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(12, 40),
+       st.sampled_from(["two reversible classes", "two classes", "transient state"]),
+       st.booleans(), st.integers(0, 10_000))
+def test_reducible_chains_raise_reducible_matrix_error(N, kind, arpack, seed):
+    # a reducible P has no unique mu and no resolvent: ChainRates, and
+    # full_report and the free norm_bound through it, refuse it on both
+    # branches before any number, eigensolve or factor
+    rng = np.random.default_rng(seed)
+    P, mu = _reducible_chain(rng, N, kind)
+    part = random_partition(rng, N, int(rng.integers(2, 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        if arpack:
+            mp.setattr(linalg, "ARPACK_MIN_N", 10)
+        for call in (lambda: diagnostics.ChainRates(P, mu),
+                     lambda: diagnostics.full_report(P, part, [2, 3], mu),
+                     lambda: diagnostics.norm_bound(P, mu, part)):
+            with pytest.raises(ReducibleMatrixError, match="P is reducible"):
+                call()
+
+
+@pytest.mark.parametrize("name", ["marek", "periodic_shift"])
+def test_norm_bound_refuses_a_reducible_pstar_p(name):
+    # P is irreducible and P* P is not (lambda_2 = 1): the non-reversible
+    # norm bound is undefined, and its graph says so before the factor
+    P, part, _ = models.pathological_fixtures()[name]
+    rates = diagnostics.ChainRates(P)
+    assert not rates.reversible
+    with pytest.raises(ReducibleMatrixError,
+                       match=r"^norm_bound: P\* P is reducible \(lambda_2 = 1\)"):
+        rates.norm_bound(part)
