@@ -189,8 +189,9 @@ def is_irreducible(P):
     """Whether the graph of P's nonzero entries is strongly connected: the
     exact test of irreducibility where steady_state, which makes it by
     elimination, does not run, as for a given mu or for P* P."""
-    # imported here: loading csgraph adds about 1 MB to the peak RSS, and
-    # every ChainRates given mu calls this, but the solves never do
+    # imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
+    # about 10 MB of peak RSS, which the solves never need; only ChainRates
+    # calls this, and it factors anyway
     import scipy.sparse.csgraph
 
     return scipy.sparse.csgraph.connected_components(

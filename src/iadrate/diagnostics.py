@@ -80,6 +80,12 @@ class ChainRates:
         self._Rs = {}
         self._last = (None, {})
 
+    def _pstar_p(self):
+        """P* P = time_reversal(P) P, in the format P is stored in. Its
+        graph decides lambda_2 = 1 exactly: that holds when the graph is
+        not strongly connected, as for a periodic P."""
+        return time_reversal(self.P, self.mu).mat @ self.P.mat
+
     def _scaled_resolvent(self, pstar_p):
         """Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)), R the resolvent of P, or
         of P* P, built on first use: a dense array below
@@ -87,8 +93,7 @@ class ChainRates:
         LU factor from there on. Rs is symmetric when R is self-adjoint
         in l2(1/mu), as for a reversible P and for P* P."""
         if pstar_p not in self._Rs:
-            Q = (time_reversal(self.P, self.mu).mat @ self.P.mat if pstar_p
-                 else self.P.mat)
+            Q = self._pstar_p() if pstar_p else self.P.mat
             if pstar_p and not is_irreducible(StochasticMatrix(mat=Q)):
                 raise ReducibleMatrixError(
                     "norm_bound: P* P is reducible (lambda_2 = 1); the "
@@ -247,10 +252,13 @@ class ChainRates:
 
     def angle(self, part, k):
         """(sin^2 theta, angle bound) for the k leading eigenvectors of
-        P* P; the bound is NaN when lambda_2 = 1, where it is undefined."""
+        P* P; the bound is NaN when lambda_2 = 1, where it is undefined.
+        Roundoff leaves a computed lambda_2 on either side of 1, so where
+        it is within 1e-8 of 1 the graph of P* P decides."""
         sd = self.pairs(min(k + 1, self.P.n))
         s = sin_theta(self.P, self.mu, part, k, sd)
-        if sd.lambdas[1] >= 1.0:
+        if sd.lambdas[1] > 1.0 - 1e-8 and not is_irreducible(
+                StochasticMatrix(mat=self._pstar_p())):
             return s * s, float("nan")
         return s * s, angle_bound(sd.lambdas, s * s, k, self.reversible)
 

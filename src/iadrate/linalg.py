@@ -5,14 +5,16 @@ blocks. `leading_eigs` is the package's one eigensolver: it decides
 whether eigenvalues come from LAPACK on the materialized matrix or from
 ARPACK on the operator. Besides it: the resolvent of a stochastic
 matrix as one sparse LU, and `lu_solve` for small dense systems.
+
+`scipy.sparse.linalg` is imported in the functions that use it: it loads
+`scipy.linalg` and scipy's own OpenBLAS, which a solve never calls, so
+building a chain and solving it run on numpy and `scipy.sparse` alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
     DimensionError,
@@ -51,6 +53,8 @@ class EigenPairs:
 def block_operator(n, f):
     """The LinearOperator on R^n that applies f to an (n, m) block of
     columns; a vector goes through f as one column."""
+    from scipy.sparse.linalg import LinearOperator
+
     g = lambda X: f(np.reshape(X, (n, -1)))
     return LinearOperator((n, n), matvec=g, matmat=g, dtype=float)
 
@@ -102,7 +106,7 @@ def leading_eigs(A, k=None, symmetric=False, vectors=False):
     n = A.shape[0]
     if k is not None and n >= ARPACK_MIN_N and k < n - 1:
         return _arpack_eigs(A, k, symmetric, vectors)
-    M = A @ np.eye(n) if isinstance(A, LinearOperator) else np.asarray(A, dtype=float)
+    M = np.asarray(A, dtype=float) if isinstance(A, np.ndarray) else A @ np.eye(n)
     try:
         if not symmetric:
             vals = np.linalg.eigvals(M)
@@ -120,6 +124,8 @@ def leading_eigs(A, k=None, symmetric=False, vectors=False):
 
 
 def _arpack_eigs(A, k, symmetric, vectors):
+    import scipy.sparse.linalg
+
     n = A.shape[0]
     want = min(max(k, _ARPACK_MIN_K), n - 2)
     v0 = np.random.default_rng(12345).uniform(0.5, 1.5, n)
@@ -160,6 +166,8 @@ def resolvent(Q, m):
     1^T B = e_r^T and B m = m_r e_r: with c = 1^T x and
     y = B^{-1} (x - m c), the result is m c + y - m (1^T y).
     """
+    import scipy.sparse.linalg
+
     n = Q.shape[0]
     r = int(np.argmax(m))
     E = scipy.sparse.coo_array(([1.0], ([r], [r])), shape=(n, n))

@@ -270,16 +270,47 @@ def test_refine_study_rate_growth_exits_1(tmp_path, monkeypatch, capsys):
     assert "rate increased under refinement" in capsys.readouterr().err
 
 
-def test_module_entry_point_warns_nothing():
+def _fresh_python(*args):
+    """A new interpreter run with this checkout's src/ on PYTHONPATH."""
     src = str(Path(iadrate.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "iadrate.cli",
-         "--help"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_warns_nothing():
+    proc = _fresh_python("-W", "error::RuntimeWarning", "-m", "iadrate.cli",
+                         "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+_LINALG_LOADED_BY = """
+import sys
+import numpy as np
+from iadrate import chain, cli, iad, models
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]
+
+P, _, part = models.build_model({"partition": "split1d:ell=57"})
+iad.iad_solve(P, part, chain.ProbabilityVector(probs=np.full(P.n, 1 / P.n)))
+assert cli.main(["solve", "--partition", "split1d:ell=57", "--out", sys.argv[1]]) == 0
+print(loaded())
+assert cli.main(["report", "--partition", "split1d:ell=57", "--out", sys.argv[1]]) == 0
+print(loaded())
+"""
+
+
+def test_solve_loads_no_scipy_linalg_and_report_does(tmp_path):
+    # a solve runs on numpy and scipy.sparse alone: scipy.sparse.linalg,
+    # and scipy.linalg and scipy's own OpenBLAS with it, load on the first
+    # factorization or eigensolve, which report makes
+    proc = _fresh_python("-c", _LINALG_LOADED_BY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['scipy.linalg', 'scipy.sparse.linalg']"]
 
 
 @pytest.mark.parametrize("cfg_text, flags, column", [

@@ -770,3 +770,56 @@ def test_norm_bound_refuses_a_reducible_pstar_p(name):
     with pytest.raises(ReducibleMatrixError,
                        match=r"^norm_bound: P\* P is reducible \(lambda_2 = 1\)"):
         rates.norm_bound(part)
+
+
+def _periodic_chain(rng, N, kind):
+    """(P, mu) of an irreducible chain of period two on an even N: the walk
+    on the cycle, reversible (a step either way with probability 1/2) or
+    shift-mixed (one way with a random other probability), or a random
+    chain that only moves between the even and the odd states. P* P keeps
+    the parity of a state, so it is reducible and lambda_2 = 1."""
+    if kind == "bipartite":
+        i = np.arange(N)
+        raw = (rng.random((N, N)) + 0.1) * ((i[:, None] + i) % 2)
+        P = chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
+    else:
+        a = 0.5 if kind == "reversible cycle" else rng.uniform(0.05, 0.45)
+        S = np.roll(np.eye(N), 1, axis=0)
+        P = chain.StochasticMatrix(mat=a * S + (1.0 - a) * S.T)
+    return P, chain.steady_state(P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 20),
+       st.sampled_from(["reversible cycle", "shift-mixed cycle", "bipartite"]),
+       st.booleans(), st.integers(0, 10_000))
+def test_periodic_chains_have_no_pstar_p_bounds(half, kind, arpack, seed):
+    # P is irreducible and P* P is not: on both branches the non-reversible
+    # norm bound raises and every angle bound is NaN, however roundoff
+    # leaves the computed lambda_2
+    rng = np.random.default_rng(seed)
+    P, mu = _periodic_chain(rng, 2 * half, kind)
+    part = random_partition(rng, 2 * half, int(rng.integers(2, 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        if arpack:
+            mp.setattr(linalg, "ARPACK_MIN_N", 10)
+        rates = diagnostics.ChainRates(P, mu)
+        assert rates.reversible == (kind == "reversible cycle")
+        if not rates.reversible:
+            with pytest.raises(ReducibleMatrixError,
+                               match=r"^norm_bound: P\* P is reducible"):
+                rates.norm_bound(part)
+        for k in (2, 3):
+            assert np.isnan(rates.angle(part, k)[1])
+
+
+def test_angle_bound_of_the_even_cycle_is_nan_on_both_branches():
+    # the computed lambda_2 of P* P = P^2 is 1 - 4e-16 on the dense branch
+    # and at least 1 on ARPACK; the graph of P^2 decides for both
+    S = np.roll(np.eye(10), 1, axis=0)
+    P = chain.StochasticMatrix(mat=0.5 * (S + S.T))
+    mu = chain.ProbabilityVector(probs=np.full(10, 0.1))
+    part = models.uniform1d(10, 2, 0)
+    for _, bound in _on_both_branches(
+            lambda: diagnostics.ChainRates(P, mu).angle(part, 2)):
+        assert np.isnan(bound)
