@@ -115,18 +115,41 @@ def validate(P):
     return StochasticMatrix(mat=P)
 
 
+def _independent_tail(A):
+    """Start m of the longest trailing run of states m..n-1 that are
+    mutually non-adjacent in A (no entry either way between any two of
+    them), or n when the last two states are adjacent. State 0 is never
+    in the run."""
+    n = A.shape[0]
+    if n < 2 or A[n - 1, n - 2] or A[n - 2, n - 1]:
+        return n
+    nz = A != 0
+    nz.flat[::n + 1] = True  # the diagonal
+    # the last state each state reaches or is reached from, or itself
+    last = n - 1 - np.minimum(nz[:, ::-1].argmax(axis=1), nz[::-1].argmax(axis=0))
+    later = np.flatnonzero(last > np.arange(n))
+    return int(later[-1]) + 1 if later.size else 1
+
+
 def steady_state(P):
     """Steady state by Grassmann-Taksar-Heyman state reduction.
 
     Works on the row-stochastic transpose A = P^T and censors states out
     from last to first. The pivot of state k is the mass it sends to the
     states still kept, A[k, :k].sum(), so no step subtracts and every
-    component comes out to high relative accuracy. States go _GTH_BLOCK
-    at a time. Within a block, each step first brings its own row and
-    column up to date with the block's earlier steps, one product each,
-    and updates only the block's square in place; the states before the
-    block then take its deferred update as one matrix product. The first
-    block (all of a chain with n <= _GTH_BLOCK) has no states before it.
+    component comes out to high relative accuracy.
+
+    A trailing run of mutually non-adjacent states, such as iad_solve
+    puts last in a coarse chain, goes first and at once: censoring one
+    of them changes no entry of the others, so their pivots are their
+    row sums over the kept states, one product updates the kept block,
+    and one product fills the run in at back-substitution. The kept
+    states then go _GTH_BLOCK at a time. Within a block, each step first
+    brings its own row and column up to date with the block's earlier
+    steps, one product each, and updates only the block's square in
+    place; the states before the block then take its deferred update as
+    one matrix product. The first block (all of a chain with
+    n <= _GTH_BLOCK) has no states before it.
 
     A zero pivot (a closed class among the censored states) or a zero
     component (a transient state) raises ReducibleMatrixError; both are
@@ -134,7 +157,18 @@ def steady_state(P):
     """
     A = np.array(P.dense().T, dtype=float)
     n = P.n
-    for hi in range(n, 1, -_GTH_BLOCK):
+    m = _independent_tail(A)
+    if m < n:
+        row, col = A[m:, :m], A[:m, m:]
+        s = row.sum(axis=1)
+        if not s.min() > 0.0:
+            k = m + int(np.flatnonzero(s <= 0.0)[-1])
+            raise ReducibleMatrixError(
+                f"steady_state: P is reducible (zero pivot at state {k})"
+            )
+        col /= s
+        A[:m, :m] += col @ row
+    for hi in range(m, 1, -_GTH_BLOCK):
         lo = max(hi - _GTH_BLOCK, 0)
         for k in range(hi - 1, max(lo, 1) - 1, -1):
             if lo:
@@ -153,8 +187,10 @@ def steady_state(P):
             A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     pi = np.empty(n)
     pi[0] = 1.0
-    for k in range(1, n):
+    for k in range(1, m):
         pi[k] = pi[:k] @ A[:k, k]
+    if m < n:
+        pi[m:] = pi[:m] @ A[:m, m:]
     if not np.all(pi > 0):
         raise ReducibleMatrixError("steady_state: P is reducible (transient state)")
     return ProbabilityVector(probs=pi / pi.sum())

@@ -21,13 +21,21 @@ def bench_2d():
     return models.reversible_chain_2d(mu, spec), mu
 
 
-def random_chain(rng, N, diag_boost=0.5):
-    """Random column-stochastic matrix with strictly positive diagonal."""
+def _cut_tail(K, tail):
+    """Zero K's entries between distinct states of its last `tail`."""
+    N = K.shape[0]
+    K[N - tail:, N - tail:] *= np.eye(tail)
+
+
+def random_chain(rng, N, diag_boost=0.5, tail=0):
+    """Random column-stochastic matrix with strictly positive diagonal;
+    its last `tail` states are mutually non-adjacent."""
     raw = rng.random((N, N)) + diag_boost * np.eye(N)
+    _cut_tail(raw, tail)
     return chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
 
 
-def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9):
+def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9, tail=0):
     """Random chain in detailed balance with a random positive measure.
 
     P_ij = c K_ij mu_i for symmetric K > 0 keeps P_ij mu_j symmetric;
@@ -36,7 +44,7 @@ def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9):
     smallest diagonal entry is 1 - fill (0 at fill = 1). Moves between
     [0, split) and [split, N) are scaled by `coupling`: a small one
     makes the chain nearly decomposable, zero splits it into two closed
-    classes.
+    classes. No move joins two distinct states of the last `tail`.
     """
     mu = rng.random(N) + 0.1
     mu /= mu.sum()
@@ -44,11 +52,28 @@ def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9):
     K = 0.5 * (K + K.T)
     K[:split, split:] *= coupling
     K[split:, :split] *= coupling
+    _cut_tail(K, tail)
     P = K * mu[:, None]
     c = fill / P.sum(axis=0).max()
     P = c * P
     P[np.arange(N), np.arange(N)] += 1.0 - P.sum(axis=0)
     return chain.StochasticMatrix(mat=P), chain.ProbabilityVector(probs=mu)
+
+
+def gth_reference(P):
+    """Steady state by Grassmann-Taksar-Heyman state reduction one state
+    at a time, last to first, with no blocks and no run of states taken
+    at once: the oracle for chain.steady_state."""
+    A = np.array(P.dense().T, dtype=float)
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
 
 
 def random_partition(rng, N, n):

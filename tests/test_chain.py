@@ -6,7 +6,8 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import qr_null_vector, random_chain, random_reversible_chain
+from conftest import (gth_reference, qr_null_vector, random_chain,
+                      random_reversible_chain)
 from iadrate import chain, models
 from iadrate.errors import (
     InconsistentSteadyStateError,
@@ -177,6 +178,59 @@ def test_steady_state_2d_boltzmann(bench_2d):
     # N = 2500: forty blocks of the elimination
     P, mu = bench_2d
     assert _max_rel_err(chain.steady_state(P).probs, mu.probs) < 1e-12
+
+
+def _planted_tails(test):
+    # the states kept after the tail, n - tail of them, on both sides of
+    # the elimination's block edges at 64 and 128
+    for kind in ("random", "nearly_decomposable"):
+        for n in (65, 66, 129, 130):
+            for tail in (2, 63, 64, 65):
+                if tail < n:
+                    test = example(kind=kind, n=n, tail=tail, seed=n + tail)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["random", "nearly_decomposable"]), st.integers(3, 200),
+       st.integers(2, 199), st.integers(0, 10_000))
+@_planted_tails
+def test_steady_state_non_adjacent_tail_matches_oracle(kind, n, tail, seed):
+    tail = min(tail, n - 1)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        P, mu = random_chain(rng, n, tail=tail), None
+    else:
+        P, mu = random_reversible_chain(rng, n, int(rng.integers(1, n)), 1e-12,
+                                        tail=tail)
+    # every other state has a move to or from the planted run, which is
+    # therefore the one steady_state takes at once
+    assert chain._independent_tail(P.dense().T) == n - tail
+    est = chain.steady_state(P).probs
+    assert _max_rel_err(est, gth_reference(P)) < 1e-12
+    if mu is not None:
+        assert _max_rel_err(est, mu.probs) < 1e-12
+
+
+@pytest.mark.parametrize("defect", ["absorbing", "transient"])
+@pytest.mark.parametrize("n, tail, k", [(10, 4, 6), (66, 2, 65), (130, 65, 65),
+                                        (130, 65, 129)])
+def test_steady_state_reducible_in_the_tail_raises(defect, n, tail, k):
+    # an absorbing state k of the run has a zero pivot; a transient one,
+    # which no state moves into, a positive pivot and a zero component
+    P = random_chain(np.random.default_rng(k), n, tail=tail).mat
+    if defect == "absorbing":
+        P[:, k] = 0.0
+        P[k, k] = 1.0
+        match = f"zero pivot at state {k}"
+    else:
+        P[k, :] = 0.0
+        P /= P.sum(axis=0)
+        match = "transient state"
+    P = chain.StochasticMatrix(mat=P)
+    assert chain._independent_tail(P.dense().T) == n - tail
+    with pytest.raises(ReducibleMatrixError, match=match):
+        chain.steady_state(P)
 
 
 def test_time_reversal_fixes_mu_and_is_stochastic():
