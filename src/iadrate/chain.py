@@ -214,13 +214,6 @@ def time_reversal(P, mu):
         mat=scipy.sparse.csr_array((data, rows, ptr), shape=P.mat.shape))
 
 
-def deviation(P, mu):
-    """P minus its rank-one ergodic limit, P - mu 1^T, as a LinearOperator:
-    a product with P and an explicit rank-one term."""
-    mc = mu.probs[:, None]
-    return linalg.block_operator(P.n, lambda X: P.mat @ X - mc * X.sum(axis=0))
-
-
 def is_irreducible(P):
     """Whether the graph of P's nonzero entries is strongly connected: the
     exact test of irreducibility where steady_state, which makes it by

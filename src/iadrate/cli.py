@@ -24,7 +24,8 @@ def _fmt(x):
 
 
 def _neglog(x):
-    return f"{-np.log10(max(1.0 - x, 1e-300)):.2f}"
+    # + 0.0 turns the -0 of x = 0 into 0, which then prints without its sign
+    return f"{-np.log10(max(1.0 - x, 1e-300)) + 0.0:.2f}"
 
 
 def _load_model(args):

@@ -4,6 +4,7 @@ the complement of the orthogonal projection Pi(nu) = D(nu) A, and the
 oblique coarse projection S(nu) that governs the coarse-correction error.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,11 @@ def save_partition(path, part):
 
 def load_partition(path):
     """Read a partition written by save_partition."""
-    data = np.loadtxt(str(path), dtype=int, ndmin=2)
+    # numpy warns on a file with no data lines, for which the check raises
+    with warnings.catch_warnings(action="ignore", category=UserWarning):
+        data = np.loadtxt(str(path), dtype=int, ndmin=2)
+    if data.size == 0:
+        raise PartitionError(f"load_partition: {path} has no data lines")
     if data.shape[1] != 2:
         raise PartitionError("load_partition: expected two columns per line")
     N = data.shape[0]

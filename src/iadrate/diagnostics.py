@@ -12,17 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import (
-    SpectralData,
-    StochasticMatrix,
-    deviation,
-    is_irreducible,
-    is_reversible,
-    pstar_p_spectrum,
-    steady_state,
-    time_reversal,
-)
-from .coarse import coarse_projection, complement, is_refinement
+from .chain import (SpectralData, StochasticMatrix, is_irreducible, is_reversible,
+                    pstar_p_spectrum, steady_state, time_reversal)
+from .coarse import (coarse_projection, complement, is_refinement,
+                     trivial_partition)
 from .errors import PartitionError, ReducibleMatrixError, RefinementError
 
 # Eigenvalues of K below this times its largest modulus count as zero.
@@ -42,10 +35,10 @@ class RateReport:
 
 def error_operator(P, mu, part):
     """J(mu) = (P - mu 1^T)(I - S(mu)), the linearization of one solver
-    step around the steady state, as a LinearOperator."""
+    step around the steady state, as a LinearOperator: P (I - S(mu)), as
+    1^T S(nu) = 1^T. With one stratum S(mu) = mu 1^T and J = P - mu 1^T."""
     S = coarse_projection(P, mu, mu, part)
-    Phat = deviation(P, mu)
-    return linalg.block_operator(P.n, lambda X: Phat @ (X - S @ X))
+    return linalg.block_operator(P.n, lambda X: P.mat @ (X - S @ X))
 
 
 def rho_J_direct(J):
@@ -145,14 +138,14 @@ class ChainRates:
             right_vectors=np.column_stack([m, np.sqrt(m)[:, None] * eig.vectors]))
 
     def rho_hatP(self):
-        """rho(P - mu 1^T), the asymptotic rate of the power method. For a
-        reversible chain it is sqrt(lambda_2) of P* P = P^2, from the
-        cached pairs; otherwise the eigensolve of P_hat (rho_J_direct)."""
+        """rho(P - mu 1^T), the asymptotic rate of the power method: for a
+        reversible chain sqrt(lambda_2) of P* P = P^2, from the cached
+        pairs, otherwise rho_J of one stratum, whose J is P - mu 1^T."""
         if self._rho_hatP is None:
             if self.reversible:
                 self._rho_hatP = float(np.sqrt(self.pairs(2).lambdas[1]))
             else:
-                self._rho_hatP = rho_J_direct(deviation(self.P, self.mu))
+                self._rho_hatP = self.rho_J(trivial_partition(self.P.n))
         return self._rho_hatP
 
     def _memo(self, part):
@@ -267,11 +260,13 @@ class ChainRates:
         NaN when it falls short of rho_J by more than 1e-8, as the partial
         spectrum of exact_formula above linalg.ARPACK_MIN_N can."""
         sd = self.pairs(min(max(k_list, default=1) + 1, self.P.n))
+        # first: a non-reversible rho_hatP takes the per-partition cache
+        hat = self.rho_hatP()
         rho = self.rho_J(part)
         formula = float(np.max(np.abs(self.exact_formula(part))))
         return RateReport(
             sqrt_lambda2=float(np.sqrt(sd.lambdas[1])),
-            rho_hatP=self.rho_hatP(),
+            rho_hatP=hat,
             rho_J=rho,
             rho_exact_formula=formula if formula >= rho - 1e-8 else float("nan"),
             norm_bound=float(self.norm_bound(part)),

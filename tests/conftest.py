@@ -60,6 +60,14 @@ def random_reversible_chain(rng, N, split=0, coupling=1.0, fill=0.9, tail=0):
     return chain.StochasticMatrix(mat=P), chain.ProbabilityVector(probs=mu)
 
 
+def deviation(P, mu):
+    """P_hat = P - mu 1^T, P minus its rank-one ergodic limit, as a
+    LinearOperator: a product with P and an explicit rank-one term. The
+    oracle for the power method's rate and for J of one stratum."""
+    mc = mu.probs[:, None]
+    return linalg.block_operator(P.n, lambda X: P.mat @ X - mc * X.sum(axis=0))
+
+
 def gth_reference(P):
     """Steady state by Grassmann-Taksar-Heyman state reduction one state
     at a time, last to first, with no blocks and no run of states taken

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     aggregation_matrix,
+    deviation,
     disaggregation_matrix,
     nested_partition_pair,
     random_chain,
@@ -64,7 +65,7 @@ def test_criterion_02_table3_mixture_rates(bench_1d):
         else:
             P = models.mix(P0, models.left_shift(100), alpha)
             mu = chain.steady_state(P)
-        rho = np.abs(np.linalg.eigvals(chain.deviation(P, mu) @ np.eye(100))).max()
+        rho = np.abs(np.linalg.eigvals(deviation(P, mu) @ np.eye(100))).max()
         assert rho == pytest.approx(target, abs=2e-5)
     assert time.perf_counter() - t0 < 10.0
 
@@ -146,7 +147,7 @@ def test_criterion_07_operator_identities():
         Pi = D @ A
         S = coarse.coarse_projection(P, mu, mu, part) @ I
         J = diagnostics.error_operator(P, mu, part) @ I
-        hat = chain.deviation(P, mu) @ I
+        hat = deviation(P, mu) @ I
         w = 1.0 / mu.probs
         assert np.max(np.abs(A @ D - np.eye(part.n))) < 1e-10
         assert np.max(np.abs(Pi @ Pi - Pi)) < 1e-10

@@ -173,6 +173,14 @@ def test_shift_study_evaluates_each_distinct_partition_once(tmp_path, monkeypatc
                for args in solves)
 
 
+def test_spectrum_prints_a_zero_rate_without_sign(tmp_path):
+    # sqrt(lambda_3) = 0 on reducible_coarse: -log10(1 - 0) is -0
+    cfg = write_cfg(tmp_path, "model = reducible_coarse\n")
+    assert main(["spectrum", "--model", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "spectrum.csv").read_text().splitlines()[1:] == [
+        "1,1.000000,300.00", "2,0.666667,0.48", "3,0.000000,0.00"]
+
+
 def test_refine_study(tmp_path):
     assert main(["refine-study", "--out", str(tmp_path)]) == 0
     rows = [line.split(",") for line
@@ -213,21 +221,37 @@ def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
     # each prepared once for all seven CSVs: one build_model per chain, one
     # fine GTH solve per mixture, one reversibility test and one P* P
     # eigensolve per chain, by pstar_p_spectrum on the dense 1D chains and
-    # from the resolvent on the 2D chain; rho(P_hat) takes an eigensolve
-    # of P_hat only on the two non-reversible chains
+    # from the resolvent on the 2D chain. rho(P_hat) of the two
+    # non-reversible chains is rho_J of one stratum, no eigensolve of J or
+    # P_hat: its spectrum, kept as the chain's last partition, also gives
+    # fig2's n = 1 rows, so each 1D chain takes one one-stratum spectrum
     builds = count_calls(monkeypatch, models.build_model, models)
     solves = count_calls(monkeypatch, chain.steady_state, chain, diagnostics)
     tests = count_calls(monkeypatch, chain.is_reversible, chain, diagnostics)
     spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, chain, diagnostics)
     pair_solves = count_pair_solves(monkeypatch)
     direct = count_calls(monkeypatch, diagnostics.rho_J_direct, diagnostics)
+    one_stratum = []
+    spectrum = diagnostics.ChainRates._spectrum
+
+    def counting(self, part, pstar_p=False):
+        if part.n == 1:
+            one_stratum.append(id(self))
+        return spectrum(self, part, pstar_p)
+
+    monkeypatch.setattr(diagnostics.ChainRates, "_spectrum", counting)
     assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0
     assert len(builds) == 4
     assert [args[0].n for args in solves] == [100, 100]
     assert len(tests) == 4
     assert [args[0].n for args in spectra] == [100, 100, 100]
     assert sorted(pair_solves) == [100, 100, 100, 2500]
-    assert len(direct) == 2
+    assert direct == []
+    assert len(one_stratum) == len(set(one_stratum)) == 3
+    # J of one stratum is P_hat: fig2's n = 1 rows are table 3
+    fig2 = (tmp_path / "fig2.csv").read_text().splitlines()[1:]
+    table3 = (tmp_path / "table3.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 1)[1] for row in fig2] == table3
     assert (tmp_path / "table1.csv").read_text().splitlines()[1:] == [
         "2,0.999992,5.09", "3,0.991441,2.07", "4,0.986243,1.86",
         "5,0.979807,1.69"]
@@ -391,7 +415,10 @@ _DIAGONAL = "model = chain2d\nN = {N}\nmove_set = diagonal\n"
     (_DIAGONAL.format(N=20), ["report", "--partition", "grid2d:s=2"],
      "P is reducible"),
     (_DIAGONAL.format(N=10), ["spectrum"], "P is reducible"),
+    # an empty partition file, with no warning from numpy on the way
+    ("", ["solve", "--partition", os.devnull], "has no data lines"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,
                                         message):
     cfg = write_cfg(tmp_path, cfg_text)

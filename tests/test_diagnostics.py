@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     aggregation_matrix,
     count_calls,
+    deviation,
     disaggregation_matrix,
     random_chain,
     random_partition,
@@ -34,7 +36,7 @@ def test_error_operator_single_coarse_state():
     P = random_chain(rng, 8)
     mu = chain.steady_state(P)
     J = diagnostics.error_operator(P, mu, coarse.trivial_partition(8)) @ np.eye(8)
-    assert np.allclose(J, chain.deviation(P, mu) @ np.eye(8), atol=1e-12)
+    assert np.allclose(J, deviation(P, mu) @ np.eye(8), atol=1e-12)
 
 
 def test_error_operator_singleton_partition_is_zero():
@@ -176,7 +178,7 @@ def test_worst_two_state_partition_can_beat_power_method():
     P0, _, _ = models.build_model({"model": "chain1d"})
     P = models.mix(P0, models.left_shift(100), 0.15)
     mu = chain.steady_state(P)
-    rho_hat = diagnostics.rho_J_direct(chain.deviation(P, mu))
+    rho_hat = diagnostics.rho_J_direct(deviation(P, mu))
     worst = max(
         diagnostics.rho_J_direct(
             diagnostics.error_operator(P, mu, models.split1d(100, ell)))
@@ -499,7 +501,7 @@ def test_table4_reports_read_one_symmetric_spectrum(bench_2d, monkeypatch):
     parts = (models.stripes2d(50, 3), models.grid2d(50, 6))
     reps = [diagnostics.full_report(P, part, [2, 3], mu) for part in parts]
     assert direct == []
-    rho_hat = oracle(chain.deviation(P, mu))
+    rho_hat = oracle(deviation(P, mu))
     for rep, part in zip(reps, parts):
         assert rep.reversible
         assert rep.rho_J == pytest.approx(
@@ -570,12 +572,66 @@ def test_reversible_rho_hatP_is_sqrt_lambda2(N, kind, seed):
     rng = np.random.default_rng(seed)
     P, mu = _chain_of_kind(rng, N, kind)
     part = random_partition(rng, N, int(rng.integers(1, N)))
-    oracle = diagnostics.rho_J_direct(chain.deviation(P, mu) @ np.eye(N))
+    oracle = diagnostics.rho_J_direct(deviation(P, mu) @ np.eye(N))
 
     def rates():
         rep = diagnostics.full_report(P, part, [2], mu)
         rho = diagnostics.ChainRates(P, mu).rho_hatP()
         assert rho == rep.sqrt_lambda2 == rep.rho_hatP
+        return rho
+
+    for rho in _on_both_branches(rates):
+        assert rho == pytest.approx(oracle, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40),
+       st.sampled_from(["reversible", "general", "nearly decomposable"]),
+       st.booleans(), st.integers(0, 10_000))
+def test_error_operator_drops_the_rank_one_term(N, kind, csc, seed):
+    # 1^T B = 1^T and 1^T D(nu) = 1^T give 1^T S(nu) = 1^T, so
+    # mu 1^T (I - S(mu)) = 0: J = P (I - S(mu)) is (P - mu 1^T)(I - S(mu)),
+    # here with S(mu) = D (B D)^{-1} B from the dense A, D(mu) and
+    # B = A - A P + (A mu) 1^T
+    rng = np.random.default_rng(seed)
+    P, mu = _chain_of_kind(rng, N, kind)
+    if csc:
+        P = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.mat))
+    part = random_partition(rng, N, int(rng.integers(1, N + 1)))
+    A, D = aggregation_matrix(part), disaggregation_matrix(mu.probs, part)
+    B = A - A @ P.dense() + np.outer(A @ mu.probs, np.ones(N))
+    oracle = deviation(P, mu) @ (np.eye(N) - D @ np.linalg.solve(B @ D, B))
+    J = diagnostics.error_operator(P, mu, part) @ np.eye(N)
+    assert np.max(np.abs(J - oracle)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 60), st.sampled_from(["general", "shifted"]),
+       st.booleans(), st.integers(0, 10_000))
+def test_nonreversible_rho_hatP_is_rho_J_of_one_stratum(N, kind, csc, seed):
+    # the power method is IAD with one stratum, S(mu) = mu 1^T and
+    # J = P_hat: rho_hatP is rho_J of the trivial partition bit for bit,
+    # and eigvals of P_hat is the oracle on both eigensolver branches.
+    # "shifted" mixes a nearly decomposable reversible chain with a cyclic
+    # shift, like the 1D shift mixtures
+    rng = np.random.default_rng(seed)
+    if kind == "shifted":
+        P, _ = _chain_of_kind(rng, N, "nearly decomposable")
+        P = models.mix(P, models.left_shift(N), 0.05)
+        P = chain.StochasticMatrix(mat=P.dense())
+    else:
+        P, _ = _chain_of_kind(rng, N, kind)
+    if csc:
+        P = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.mat))
+    mu = chain.steady_state(P)
+    oracle = np.abs(np.linalg.eigvals(deviation(P, mu) @ np.eye(N))).max()
+
+    def rates():
+        rates = diagnostics.ChainRates(P, mu)
+        assert not rates.reversible
+        rho = rates.rho_hatP()
+        assert rho == diagnostics.ChainRates(P, mu).rho_J(
+            coarse.trivial_partition(N))
         return rho
 
     for rho in _on_both_branches(rates):

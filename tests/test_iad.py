@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     count_calls,
+    deviation,
     qr_null_vector,
     random_chain,
     random_partition,
@@ -192,7 +193,7 @@ def test_error_recursion_is_exact_at_the_iterate():
     m0 = chain.ProbabilityVector(probs=m0.probs / m0.probs.sum())
     out = iad.iad_step(P, part, m0)
     Sk = coarse.coarse_projection(P, mu, m0, part) @ np.eye(10)
-    Jk = chain.deviation(P, mu) @ (np.eye(10) - Sk)
+    Jk = deviation(P, mu) @ (np.eye(10) - Sk)
     lin = Jk @ (m0.probs - mu.probs)
     err0 = np.sqrt(np.sum((m0.probs - mu.probs) ** 2 / mu.probs))
     gap = np.sqrt(np.sum((out.probs - mu.probs - lin) ** 2 / mu.probs))
