@@ -29,8 +29,7 @@ class StochasticMatrix:
     A dense array stays dense; sparse input becomes canonical CSC (a float
     `scipy.sparse.csc_array` with sorted indices and no duplicates). This
     module owns that decision: other code reads the matrix through
-    `dense()`, `nonzeros()` or the product `mat @ x`, which every format
-    supports.
+    `dense()` or operations every format supports, such as `mat @ x`.
     """
 
     mat: "np.ndarray | scipy.sparse.csc_array"
@@ -53,15 +52,6 @@ class StochasticMatrix:
             # operation on mixed layouts runs about 2.5x slower
             return self.mat.toarray(order="C")
         return self.mat
-
-    def nonzeros(self):
-        """(rows, cols, values) of the nonzero entries, column by column."""
-        if scipy.sparse.issparse(self.mat):
-            ptr = self.mat.indptr
-            cols = np.arange(self.n).repeat(ptr[1:] - ptr[:-1])
-            return self.mat.indices, cols, self.mat.data
-        cols, rows = np.nonzero(self.mat.T)
-        return rows, cols, self.mat[rows, cols]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .chain import validate
@@ -87,18 +88,26 @@ def disaggregate(z, w, part):
     return z[part.assignment] * w
 
 
-def coarse_pattern(P, part):
-    """(cols, keys, vals): the nonzeros of the n x N matrix A P, each with
-    its column j, coarse key a(i) n + a(j) and value, summed by one
-    bincount over the nonzeros of P; all C(nu) and S(nu) take from P."""
+def _aggregated(P, part):
+    """(A, A P): the n x N aggregation A in CSC, one unit entry a column,
+    and A P in CSR with sorted indices, from the one sparse product through
+    which this module reads P; it drops exact zeros, and P may be dense."""
     if P.n != part.fine_n:
-        raise PartitionError("coarse_pattern: matrix size does not match partition")
-    N, a, n = P.n, part.assignment, part.n
-    rows, cols, vals = P.nonzeros()
-    AP = np.bincount(a[rows] * N + cols, weights=vals, minlength=n * N)
-    idx = np.flatnonzero(AP)
-    rows, cols = np.divmod(idx, N)
-    return cols, rows * n + a[cols], AP[idx]
+        raise PartitionError("coarse: matrix size does not match partition")
+    A = scipy.sparse.csc_array(
+        (np.ones(P.n), part.assignment, np.arange(P.n + 1)), shape=(part.n, P.n))
+    AP = scipy.sparse.csr_array(A @ P.mat)
+    AP.sort_indices()
+    return A, AP
+
+
+def coarse_pattern(P, part):
+    """(cols, keys, vals): the nonzeros of the n x N matrix A P in row-major
+    order, each with its column j, coarse key i n + a(j) and value; the
+    coarse chains C(nu) are summed from it."""
+    _, AP = _aggregated(P, part)
+    rows = np.repeat(np.arange(part.n), np.diff(AP.indptr))
+    return AP.indices, rows * part.n + part.assignment[AP.indices], AP.data
 
 
 def coarse_matrix(P, w, part, pattern=None):
@@ -130,7 +139,7 @@ def coarse_projection(P, mu, nu, part):
     as a LinearOperator.
 
     S(nu) = D(nu) [B D(nu)]^{-1} B with the n x N matrix
-    B = A - A P + (A mu) 1^T, scattered from coarse_pattern; no N x N
+    B = A - A P + (A mu) 1^T, dense from the sparse A and A P; no N x N
     matrix is formed. The inner n x n matrix is taken from the same B:
     S is then idempotent to roundoff, which an inner matrix built
     separately (I - C(nu) + (A mu) 1^T) is not when the coarse chain is
@@ -139,18 +148,14 @@ def coarse_projection(P, mu, nu, part):
     nu = nu.probs
     if np.any(nu <= 0):
         raise ValueError("coarse_projection: nu must be strictly positive")
-    N, a, n = P.n, part.assignment, part.n
-    cols, keys, vals = coarse_pattern(P, part)
-    B = np.zeros((n, N))
-    B[keys // n, cols] = -vals
-    B[a, np.arange(N)] += 1.0
-    B += aggregate(mu.probs, part)[:, None]
+    A, AP = _aggregated(P, part)
+    B = (A - AP).toarray() + aggregate(mu.probs, part)[:, None]
     w = disaggregation_weights(nu, part)
     # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
     # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
     F = linalg.lu_solve(aggregate((B * w).T, part).T, B)
-    wc = w[:, None]
-    return linalg.block_operator(N, lambda X: wc * (F @ X)[a])
+    a, wc = part.assignment, w[:, None]
+    return linalg.block_operator(P.n, lambda X: wc * (F @ X)[a])
 
 
 def is_refinement(refined, coarser):

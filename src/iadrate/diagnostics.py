@@ -149,7 +149,10 @@ class ChainRates:
         return self._rho_hatP
 
     def _memo(self, part):
-        """The per-partition cache, emptied when another partition comes."""
+        """The per-partition cache, emptied when another partition comes;
+        a partition of another chain raises PartitionError."""
+        if part.fine_n != self.P.n:
+            raise PartitionError("ChainRates: chain size does not match partition")
         key = part.assignment.tobytes()
         if self._last[0] != key:
             self._last = (key, {})
@@ -168,9 +171,9 @@ class ChainRates:
         its largest moduli too, R being positive definite in l2(1/mu)).
         Eigenvalues below _DROP_TOL times the largest modulus count as zero.
         """
+        memo = self._memo(part)
         if part.n == self.P.n:
             return np.zeros(0)
-        memo = self._memo(part)
         if pstar_p not in memo:
             Rs = self._scaled_resolvent(pstar_p)
             symmetric = self.reversible or pstar_p
@@ -199,9 +202,9 @@ class ChainRates:
         least min(0, p_min), and Gershgorin on the columns of P gives
         p_min >= 2 min_j P_jj - 1. Otherwise, and for a non-reversible
         chain, ARPACK on J (rho_J_direct). Kept for the last partition."""
+        memo = self._memo(part)
         if part.n == self.P.n:
             return 0.0
-        memo = self._memo(part)
         if "rho_J" not in memo:
             if self.P.n < linalg.ARPACK_MIN_N:
                 rho = float(np.max(np.abs(self.exact_formula(part))))

@@ -33,8 +33,8 @@ class IadConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("IadConfig: tau must be positive")
-        if self.max_outer < 1:
-            raise ValueError("IadConfig: max_outer must be at least 1")
+        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+            raise ValueError("IadConfig: max_outer must be an integer of at least 1")
 
 
 @dataclass

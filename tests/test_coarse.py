@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -206,7 +209,26 @@ def test_coarse_pattern_is_the_nonzeros_of_AP(N, seed, sparse):
     assert np.max(np.abs(AP - aggregation_matrix(part) @ P.dense())) <= 1e-15
     # one entry per nonzero of A P: no (column, key) pair repeats
     assert len(set(zip(cols.tolist(), keys.tolist()))) == len(cols)
+    # in strictly increasing row-major order, the order in which
+    # coarse_matrix's bincount sums, which its bit-identity rests on
+    assert np.all(np.diff((keys // n) * N + cols) > 0)
     assert np.all(vals != 0.0)
+
+
+def test_coarse_pattern_memory_stays_near_its_output():
+    # 10,000 states in 2,500 strata: the n x N matrix A P would take 200 MB
+    # dense, its 30,000 nonzeros well under 1 MB
+    spec = dataclasses.replace(models.benchmark_chain_2d_spec(), N=100)
+    P = models.reversible_chain_2d(models.boltzmann_2d(spec), spec)
+    part = models.grid2d(100, 50)
+    tracemalloc.start()
+    try:
+        cols, _, _ = coarse.coarse_pattern(P, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == 30_000
+    assert peak < 20e6
 
 
 def _storage_case(kind, rng, N):

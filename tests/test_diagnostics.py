@@ -414,6 +414,19 @@ def test_singleton_partition_has_zero_formula_and_norm_bound(kind):
         assert got == ([0.0], 0.0, 0.0, 0.0, 0.0)
 
 
+def test_partition_of_another_chain_raises():
+    # 200 fine states in 100 strata on the 100-state chain: part.n equals
+    # P.n, which is no singleton partition of this chain
+    P, mu, _ = models.build_model({"model": "chain1d"})
+    part = models.uniform1d(2 * P.n, P.n, 0)
+    rates = diagnostics.ChainRates(P, mu)
+    for quantity in (rates.rho_J, rates.norm_bound, rates.exact_formula,
+                     lambda p: rates.nested_rates([p]),
+                     lambda p: diagnostics.norm_bound(P, mu, p)):
+        with pytest.raises(PartitionError, match="does not match partition"):
+            quantity(part)
+
+
 def _outcome(fn):
     try:
         return np.atleast_1d(np.asarray(fn(), dtype=float))

@@ -31,6 +31,14 @@ def test_config_validation():
         iad.IadConfig(max_outer=0)
 
 
+def test_config_rejects_a_non_integer_max_outer():
+    # range() would raise a bare TypeError later, inside iad_solve
+    for bad in (2.5, 3.0, "5"):
+        with pytest.raises(ValueError, match="integer"):
+            iad.IadConfig(max_outer=bad)
+    assert iad.IadConfig(max_outer=np.int64(5)).max_outer == 5
+
+
 def test_coarse_steady_state_symmetric():
     C = chain.StochasticMatrix(mat=np.full((2, 2), 0.5))
     z = chain.steady_state(C)
