@@ -61,15 +61,6 @@ class ProbabilityVector:
     probs: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition of P* P: lambdas descending, right vectors
-    orthonormal in l2(1/mu)."""
-
-    lambdas: np.ndarray
-    right_vectors: np.ndarray
-
-
 def validate(P):
     """Check a matrix is column stochastic; clamp tiny negatives.
 
@@ -224,9 +215,10 @@ def is_reversible(P, mu):
 
 
 def pstar_p_spectrum(P, mu, k=None):
-    """The k leading eigenpairs (default: all) of P* P, the self-adjoint
-    composition of the chain with its time reversal in l2(1/mu), and any
-    further ones linalg.leading_eigs verified.
+    """The eigenpairs of P* P, the self-adjoint composition of the chain
+    with its time reversal in l2(1/mu), right vectors orthonormal in
+    l2(1/mu): all by default, else every pair linalg.leading_eigs computed,
+    at least the k leading ones.
 
     The similarity M = diag(1/sqrt(mu)) P diag(sqrt(mu)) makes M^T M plain
     symmetric; it is applied as two products with P, and eigenvectors map
@@ -241,8 +233,8 @@ def pstar_p_spectrum(P, mu, k=None):
     PT = P.mat.T  # once: each .T of a sparse P builds a new array
     MtM = linalg.block_operator(
         P.n, lambda X: smc * (PT @ ((P.mat @ (smc * X)) / mc)))
-    pairs = linalg.leading_eigs(MtM, k, symmetric=True, vectors=True)
-    lambdas = np.maximum(pairs.values, 0.0)
+    pairs = linalg.leading_eigs(MtM, k or P.n, symmetric=True, vectors=True)
+    lambdas = np.maximum(pairs.lambdas, 0.0)
     if abs(lambdas[0] - 1.0) > 1e-8:
         raise InconsistentSteadyStateError(
             f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1"
@@ -250,7 +242,7 @@ def pstar_p_spectrum(P, mu, k=None):
     right = smc * pairs.vectors
     lambdas[0] = 1.0
     right[:, 0] = m
-    return SpectralData(lambdas=lambdas, right_vectors=right)
+    return linalg.EigenPairs(lambdas=lambdas, vectors=right)
 
 
 def save_vector(path, mu):

@@ -89,23 +89,23 @@ def disaggregate(z, w, part):
 
 
 def _aggregated(P, part):
-    """(A, A P): the n x N aggregation A in CSC, one unit entry a column,
-    and A P in CSR with sorted indices, from the one sparse product through
-    which this module reads P; it drops exact zeros, and P may be dense."""
+    """A P in CSR with sorted indices, A the n x N aggregation in CSC (one
+    unit entry a column): the one sparse product through which this module
+    reads P; it drops exact zeros, and P may be dense."""
     if P.n != part.fine_n:
         raise PartitionError("coarse: matrix size does not match partition")
     A = scipy.sparse.csc_array(
         (np.ones(P.n), part.assignment, np.arange(P.n + 1)), shape=(part.n, P.n))
     AP = scipy.sparse.csr_array(A @ P.mat)
     AP.sort_indices()
-    return A, AP
+    return AP
 
 
 def coarse_pattern(P, part):
     """(cols, keys, vals): the nonzeros of the n x N matrix A P in row-major
     order, each with its column j, coarse key i n + a(j) and value; the
     coarse chains C(nu) are summed from it."""
-    _, AP = _aggregated(P, part)
+    AP = _aggregated(P, part)
     rows = np.repeat(np.arange(part.n), np.diff(AP.indptr))
     return AP.indices, rows * part.n + part.assignment[AP.indices], AP.data
 
@@ -139,17 +139,18 @@ def coarse_projection(P, mu, nu, part):
     as a LinearOperator.
 
     S(nu) = D(nu) [B D(nu)]^{-1} B with the n x N matrix
-    B = A - A P + (A mu) 1^T, dense from the sparse A and A P; no N x N
-    matrix is formed. The inner n x n matrix is taken from the same B:
-    S is then idempotent to roundoff, which an inner matrix built
-    separately (I - C(nu) + (A mu) 1^T) is not when the coarse chain is
-    nearly decomposable.
+    B = A - A P + (A mu) 1^T, formed dense as -A P plus 1 at (a(j), j)
+    plus A mu in every column; no N x N matrix is formed. The inner n x n
+    matrix is taken from the same B: S is then idempotent to roundoff,
+    which an inner matrix built separately (I - C(nu) + (A mu) 1^T) is
+    not when the coarse chain is nearly decomposable.
     """
     nu = nu.probs
     if np.any(nu <= 0):
         raise ValueError("coarse_projection: nu must be strictly positive")
-    A, AP = _aggregated(P, part)
-    B = (A - AP).toarray() + aggregate(mu.probs, part)[:, None]
+    B = -_aggregated(P, part).toarray()
+    B[part.assignment, np.arange(P.n)] += 1.0
+    B += aggregate(mu.probs, part)[:, None]
     w = disaggregation_weights(nu, part)
     # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
     # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms

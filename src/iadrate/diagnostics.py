@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import (SpectralData, StochasticMatrix, is_irreducible, is_reversible,
+from .chain import (StochasticMatrix, is_irreducible, is_reversible,
                     pstar_p_spectrum, steady_state, time_reversal)
 from .coarse import (coarse_projection, complement, is_refinement,
                      trivial_partition)
@@ -44,7 +44,7 @@ def error_operator(P, mu, part):
 def rho_J_direct(J):
     """Spectral radius as the largest eigenvalue modulus of J, an array or
     a LinearOperator."""
-    return float(np.abs(linalg.leading_eigs(J, 1).values[0]))
+    return float(np.abs(linalg.leading_eigs(J, 1).lambdas[0]))
 
 
 class ChainRates:
@@ -81,10 +81,10 @@ class ChainRates:
 
     def _scaled_resolvent(self, pstar_p):
         """Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)), R the resolvent of P, or
-        of P* P, built on first use: a dense array below
-        linalg.ARPACK_MIN_N (80 KB at N = 100), an operator on the sparse
-        LU factor from there on. Rs is symmetric when R is self-adjoint
-        in l2(1/mu), as for a reversible P and for P* P."""
+        of P* P, built on first use as an operator on the sparse LU factor
+        and materialized below linalg.ARPACK_MIN_N (80 KB at N = 100). Rs
+        is symmetric when R is self-adjoint in l2(1/mu), as for a
+        reversible P and for P* P."""
         if pstar_p not in self._Rs:
             Q = self._pstar_p() if pstar_p else self.P.mat
             if pstar_p and not is_irreducible(StochasticMatrix(mat=Q)):
@@ -92,29 +92,27 @@ class ChainRates:
                     "norm_bound: P* P is reducible (lambda_2 = 1); the "
                     "non-reversible norm bound is undefined")
             R = linalg.resolvent(Q, self.mu.probs)
-            sm = np.sqrt(self.mu.probs)
+            smc = np.sqrt(self.mu.probs)[:, None]
+            Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
             if self.P.n < linalg.ARPACK_MIN_N:
-                Rs = (R @ np.diag(sm)) / sm[:, None]
-            else:
-                smc = sm[:, None]
-                Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
+                Rs = Rs @ np.eye(self.P.n)
             self._Rs[pstar_p] = Rs
         return self._Rs[pstar_p]
 
     def pairs(self, k):
-        """At least k leading eigenpairs of P* P, solved again only for more:
-        for a reversible chain from linalg.ARPACK_MIN_N on those of Rs
-        (_resolvent_pairs) where they are certified, otherwise
-        chain.pstar_p_spectrum."""
+        """The P* P eigenpairs computed so far, solved again only when k
+        exceeds their number: all of them below linalg.ARPACK_MIN_N. From
+        there on, for a reversible chain those of Rs (_resolvent_pairs)
+        where they are certified, otherwise chain.pstar_p_spectrum."""
         if self._sd is None or len(self._sd.lambdas) < k:
             self._sd = self._resolvent_pairs(k) or pstar_p_spectrum(self.P, self.mu, k)
         return self._sd
 
     def _resolvent_pairs(self, k):
-        """The k leading P* P pairs of a reversible chain from
-        linalg.ARPACK_MIN_N on, and any further ones ARPACK verified, from
-        the leading eigenpairs of the Rs that rho_J factors; None for any
-        other chain and where they are not certified.
+        """Every P* P pair, at least the k leading ones, of a reversible
+        chain from linalg.ARPACK_MIN_N on, from the leading eigenpairs of
+        the Rs that rho_J factors; None for any other chain and where they
+        are not certified.
 
         P* P = P^2, and Rs has the eigenvalue 1 on sqrt(mu) and 1/(1 - p)
         for every other eigenvalue p of P, with the eigenvector u of the
@@ -129,13 +127,13 @@ class ChainRates:
             return None
         eig = linalg.leading_eigs(self._scaled_resolvent(False), k - 1,
                                   symmetric=True, vectors=True)
-        p = 1.0 - 1.0 / eig.values
+        p = 1.0 - 1.0 / eig.lambdas
         if not p.min() > max(_DROP_TOL, self.floor):
             return None
         m = self.mu.probs
-        return SpectralData(
+        return linalg.EigenPairs(
             lambdas=np.concatenate([[1.0], p * p]),
-            right_vectors=np.column_stack([m, np.sqrt(m)[:, None] * eig.vectors]))
+            vectors=np.column_stack([m, np.sqrt(m)[:, None] * eig.vectors]))
 
     def rho_hatP(self):
         """rho(P - mu 1^T), the asymptotic rate of the power method: for a
@@ -165,10 +163,10 @@ class ChainRates:
 
         They are those of M = (I - Pi~) Rs (I - Pi~) =
         diag(1/sqrt(mu)) K diag(sqrt(mu)), I - Pi~ = coarse.complement,
-        which is symmetric when Rs is. With a dense Rs all of them, from
-        the dense M; otherwise every leading one ARPACK verifies on the
-        operator M, at least six (for a symmetric M its largest, which are
-        its largest moduli too, R being positive definite in l2(1/mu)).
+        which is symmetric when Rs is: every one linalg.leading_eigs
+        computes, all of them from a dense Rs, and from the operator M at
+        least six (for a symmetric M its largest, which are its largest
+        moduli too, R being positive definite in l2(1/mu)).
         Eigenvalues below _DROP_TOL times the largest modulus count as zero.
         """
         memo = self._memo(part)
@@ -179,7 +177,7 @@ class ChainRates:
             symmetric = self.reversible or pstar_p
             E = complement(self.mu.probs, part)
             if isinstance(Rs, np.ndarray):
-                M, k = E(E(Rs).T).T, None
+                M = E(E(Rs).T).T
                 if symmetric:
                     # the projections cancel the large entries of Rs; what
                     # they leave of its roundoff can exceed leading_eigs'
@@ -187,8 +185,8 @@ class ChainRates:
                     # smaller M
                     M = 0.5 * (M + M.T)
             else:
-                M, k = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X))), 1
-            lam = linalg.leading_eigs(M, k, symmetric=symmetric).values
+                M = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X)))
+            lam = linalg.leading_eigs(M, 1, symmetric=symmetric).lambdas
             memo[pstar_p] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
         return memo[pstar_p]
 
@@ -311,12 +309,12 @@ def sin_theta(P, mu, part, k, sd):
     """
     if not 2 <= k < P.n:
         raise ValueError(f"sin_theta: k must satisfy 2 <= k < {P.n}, got {k}")
-    if sd.right_vectors.shape[1] < k:
-        raise ValueError(f"sin_theta: sd holds {sd.right_vectors.shape[1]} "
+    if sd.vectors.shape[1] < k:
+        raise ValueError(f"sin_theta: sd holds {sd.vectors.shape[1]} "
                          f"eigenvectors, k = {k} needs k")
-    F = complement(mu.probs, part)(sd.right_vectors[:, :k]
+    F = complement(mu.probs, part)(sd.vectors[:, :k]
                                    / np.sqrt(mu.probs)[:, None])
-    s2 = float(linalg.leading_eigs(F.T @ F, 1, symmetric=True).values[0])
+    s2 = float(linalg.leading_eigs(F.T @ F, 1, symmetric=True).lambdas[0])
     return float(min(np.sqrt(max(s2, 0.0)), 1.0))
 
 

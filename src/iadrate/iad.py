@@ -7,6 +7,8 @@ iteration stops when both the step change and the fine-level residual
 drop below a relative tolerance.
 """
 
+import numbers
+
 import numpy as np
 
 from .chain import ProbabilityVector, steady_state
@@ -31,8 +33,9 @@ class IadConfig:
     max_outer: int = 10000
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("IadConfig: tau must be positive")
+        if isinstance(self.tau, bool) or not (
+                isinstance(self.tau, numbers.Real) and 0 < self.tau < np.inf):
+            raise ValueError("IadConfig: tau must be a finite positive number")
         if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
             raise ValueError("IadConfig: max_outer must be an integer of at least 1")
 

@@ -44,9 +44,9 @@ _SYMMETRY_TOL = 1e-12
 @dataclass(frozen=True)
 class EigenPairs:
     """Eigenvalues, leading first, with matching eigenvector columns
-    (None when they were not asked for)."""
+    (None when not asked for): every eigen result in the package."""
 
-    values: np.ndarray
+    lambdas: np.ndarray
     vectors: "np.ndarray | None"
 
 
@@ -85,40 +85,40 @@ def _by_modulus(vals):
     return np.lexsort((np.arange(len(vals)), -np.abs(vals)))
 
 
-def leading_eigs(A, k=None, symmetric=False, vectors=False):
-    """The k leading eigenvalues of a square array or LinearOperator A.
+def leading_eigs(A, k, symmetric=False, vectors=False):
+    """Every eigenpair computed of a square array or LinearOperator A, at
+    least its k leading ones, leading first.
 
     Leading means largest modulus, or largest value when `symmetric`;
-    k=None asks for all of them, and `vectors` (symmetric only) for unit
-    eigenvectors as columns. Below ARPACK_MIN_N, and for all or all but
-    one of them, LAPACK solves the materialized A: `eigvals`, or `eigh`/
-    `eigvalsh` on (A + A^T) / 2 if A is symmetric to _SYMMETRY_TOL
-    relative to its largest entry (at least one; else NotSymmetricError).
-    Otherwise ARPACK iterates from a fixed start vector and returns every
-    pair it converged, at least _ARPACK_MIN_K (so possibly more than k),
-    each with ||A v - lambda v|| <= _RESIDUAL_TOL max(1, |lambda|).
-    Any solver failure raises EigenConvergenceError.
+    `vectors` (symmetric only) asks for unit eigenvectors as columns.
+    Below ARPACK_MIN_N, and for k >= n - 1, LAPACK solves the materialized
+    A and returns all n: `eigvals`, or `eigh`/`eigvalsh` on (A + A^T) / 2
+    if A is symmetric to _SYMMETRY_TOL relative to its largest entry (at
+    least one; else NotSymmetricError). Otherwise ARPACK iterates from a
+    fixed start vector and returns every pair it converged, at least
+    max(k, _ARPACK_MIN_K), each with ||A v - lambda v|| <= _RESIDUAL_TOL
+    max(1, |lambda|). Any solver failure raises EigenConvergenceError.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
     if vectors and not symmetric:
         raise ValueError("leading_eigs: eigenvectors are for a symmetric A only")
     n = A.shape[0]
-    if k is not None and n >= ARPACK_MIN_N and k < n - 1:
+    if n >= ARPACK_MIN_N and k < n - 1:
         return _arpack_eigs(A, k, symmetric, vectors)
     M = np.asarray(A, dtype=float) if isinstance(A, np.ndarray) else A @ np.eye(n)
     try:
         if not symmetric:
             vals = np.linalg.eigvals(M)
-            return EigenPairs(values=vals[_by_modulus(vals)][:k], vectors=None)
+            return EigenPairs(lambdas=vals[_by_modulus(vals)], vectors=None)
         if abs(M - M.T).max() > _SYMMETRY_TOL * max(1.0, abs(M).max()):
             raise NotSymmetricError("leading_eigs: A is not symmetric to tolerance")
         M = 0.5 * (M + M.T)
         if vectors:
             w, V = np.linalg.eigh(M)
-            order = np.argsort(-w, kind="stable")[:k]
-            return EigenPairs(values=w[order], vectors=V[:, order])
-        return EigenPairs(values=np.linalg.eigvalsh(M)[::-1][:k], vectors=None)
+            order = np.argsort(-w, kind="stable")
+            return EigenPairs(lambdas=w[order], vectors=V[:, order])
+        return EigenPairs(lambdas=np.linalg.eigvalsh(M)[::-1], vectors=None)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"leading_eigs: {exc}") from exc
 
@@ -149,7 +149,7 @@ def _arpack_eigs(A, k, symmetric, vectors):
             f"leading_eigs: ARPACK eigenpair residual {np.max(res):.3g} "
             f"exceeds {_RESIDUAL_TOL:g} x {scale:.6g}"
         )
-    return EigenPairs(values=vals, vectors=V if vectors else None)
+    return EigenPairs(lambdas=vals, vectors=V if vectors else None)
 
 
 def resolvent(Q, m):

@@ -158,7 +158,7 @@ def count_pair_solves(monkeypatch):
     sizes = []
     solve = linalg.leading_eigs
 
-    def counting(A, k=None, symmetric=False, vectors=False):
+    def counting(A, k, symmetric=False, vectors=False):
         if vectors:
             sizes.append(A.shape[0])
         return solve(A, k, symmetric, vectors)

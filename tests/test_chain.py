@@ -300,9 +300,9 @@ def test_pstar_p_spectrum_structure():
     assert sd.lambdas[0] == 1.0
     assert np.all(np.diff(sd.lambdas) <= 1e-12)
     assert np.all(sd.lambdas >= -1e-12)
-    assert np.allclose(sd.right_vectors[:, 0], mu.probs)
+    assert np.allclose(sd.vectors[:, 0], mu.probs)
     # right vectors orthonormal in l2(1/mu)
-    G = sd.right_vectors.T @ (sd.right_vectors / mu.probs[:, None])
+    G = sd.vectors.T @ (sd.vectors / mu.probs[:, None])
     assert np.allclose(G, np.eye(10), atol=1e-8)
 
 

@@ -141,7 +141,8 @@ def test_projection_pair_invariants(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
     sd = chain.pstar_p_spectrum(P, mu, 3)
-    Q_k = sd.right_vectors @ (sd.right_vectors / mu.probs[:, None]).T
+    V = sd.vectors[:, :3]
+    Q_k = V @ (V / mu.probs[:, None]).T
     w = 1.0 / mu.probs
     # Pi is also covered by acceptance criterion 7
     Pi = disaggregation_matrix(mu.probs, part) @ aggregation_matrix(part)
@@ -282,7 +283,7 @@ def test_sin_theta_matches_dense_oracle(N, kind, seed):
 
     for sd, got in _on_both_branches(sines):
         for k, s in zip((2, 3), got):
-            F = E @ sd.right_vectors[:, :k]
+            F = E @ sd.vectors[:, :k]
             s2 = np.linalg.eigvalsh(F.T @ (F / mu.probs[:, None]))[-1]
             assert s * s == pytest.approx(min(max(s2, 0.0), 1.0), abs=1e-12)
 
@@ -333,7 +334,7 @@ def _rates_on(rates, part):
 def _same_pairs(a, b, k):
     """The k leading P* P pairs of a and b are bitwise equal."""
     return (np.array_equal(a.lambdas[:k], b.lambdas[:k])
-            and np.array_equal(a.right_vectors[:, :k], b.right_vectors[:, :k]))
+            and np.array_equal(a.vectors[:, :k], b.vectors[:, :k]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -562,6 +563,18 @@ def test_uncertified_reversible_rho_J_takes_the_direct_path(case, monkeypatch):
         assert np.isnan(rep.rho_exact_formula)
     else:
         assert rep.rho_exact_formula == pytest.approx(rep.rho_J, abs=1e-8)
+
+
+def test_pairs_below_arpack_min_n_solve_pstar_p_once(bench_1d, monkeypatch):
+    # below ARPACK_MIN_N the first solve returns all n pairs, so asking
+    # for more of them solves nothing again
+    P, mu = bench_1d
+    assert P.n < linalg.ARPACK_MIN_N
+    spectra = count_calls(monkeypatch, chain.pstar_p_spectrum, diagnostics)
+    rates = diagnostics.ChainRates(P, mu)
+    assert len(rates.pairs(2).lambdas) == P.n
+    assert rates.pairs(5) is rates.pairs(2)
+    assert len(spectra) == 1
 
 
 def test_rho_hatP_then_pairs_solves_pstar_p_once(monkeypatch):

@@ -25,8 +25,11 @@ def uniform_pv(n):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        iad.IadConfig(tau=0.0)
+    # an infinite tau would stop iad_solve after one step, unconverged
+    for bad in (0.0, 0, -1, float("inf"), float("nan"), "1e-9", True):
+        with pytest.raises(ValueError, match="tau"):
+            iad.IadConfig(tau=bad)
+    assert iad.IadConfig(tau=np.float64(1e-6)).tau == 1e-6
     with pytest.raises(ValueError):
         iad.IadConfig(max_outer=0)
 

@@ -49,18 +49,20 @@ def test_leading_eigs_symmetric_descending_and_orthonormal():
     rng = np.random.default_rng(5)
     S = rng.random((10, 10))
     S = 0.5 * (S + S.T)
-    pairs = linalg.leading_eigs(S, symmetric=True, vectors=True)
-    assert np.all(np.diff(pairs.values) <= 1e-14)
+    pairs = linalg.leading_eigs(S, 2, symmetric=True, vectors=True)
+    assert np.all(np.diff(pairs.lambdas) <= 1e-14)
     assert np.allclose(pairs.vectors.T @ pairs.vectors, np.eye(10), atol=1e-12)
-    assert np.allclose(S @ pairs.vectors, pairs.vectors * pairs.values, atol=1e-10)
-    values = linalg.leading_eigs(S, symmetric=True).values
-    assert np.allclose(values, pairs.values, atol=1e-12)
+    assert np.allclose(S @ pairs.vectors, pairs.vectors * pairs.lambdas, atol=1e-10)
+    lambdas = linalg.leading_eigs(S, 2, symmetric=True).lambdas
+    # LAPACK computes all 10 pairs, with or without vectors, and returns them
+    assert len(lambdas) == len(pairs.lambdas) == 10
+    assert np.allclose(lambdas, pairs.lambdas, atol=1e-12)
 
 
 @pytest.mark.parametrize("vectors", [False, True])
 def test_leading_eigs_rejects_asymmetric(vectors):
     with pytest.raises(NotSymmetricError):
-        linalg.leading_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]),
+        linalg.leading_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1,
                             symmetric=True, vectors=vectors)
 
 
@@ -69,9 +71,9 @@ def test_leading_eigs_one_symmetry_tolerance(vectors):
     # a 1e-11 relative asymmetry fails the check with or without vectors
     S = np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]])
     with pytest.raises(NotSymmetricError):
-        linalg.leading_eigs(S, symmetric=True, vectors=vectors)
+        linalg.leading_eigs(S, 1, symmetric=True, vectors=vectors)
     S[1, 0] = 0.5 + 1e-13
-    assert linalg.leading_eigs(S, symmetric=True, vectors=vectors).values[0] \
+    assert linalg.leading_eigs(S, 1, symmetric=True, vectors=vectors).lambdas[0] \
         == pytest.approx(1.5, abs=1e-12)
 
 
@@ -84,7 +86,7 @@ def test_leading_eigs_lapack_failure_is_typed(monkeypatch, solver, symmetric,
 
     monkeypatch.setattr(np.linalg, solver, fails)
     with pytest.raises(EigenConvergenceError):
-        linalg.leading_eigs(np.eye(3), symmetric=symmetric, vectors=vectors)
+        linalg.leading_eigs(np.eye(3), 1, symmetric=symmetric, vectors=vectors)
 
 
 @pytest.mark.parametrize("n", [50, linalg.ARPACK_MIN_N + 50])
@@ -97,7 +99,7 @@ def test_leading_eigs_vectors_only_for_symmetric(n):
 
 def test_leading_eigs_modulus_sorted():
     A = np.diag([1.0, -3.0, 2.0])
-    ev = linalg.leading_eigs(A).values
+    ev = linalg.leading_eigs(A, 1).lambdas
     assert np.allclose(np.abs(ev), [3.0, 2.0, 1.0])
 
 
@@ -115,7 +117,7 @@ def test_leading_eigs_weighted_similarity_matches_dense():
     expect = np.linalg.eigvalsh(S / np.outer(sw, sw)).max()
     swc = sw[:, None]
     op = linalg.block_operator(20, lambda X: swc * (M @ (X / swc)))
-    got = linalg.leading_eigs(op, 1, symmetric=True).values[0]
+    got = linalg.leading_eigs(op, 1, symmetric=True).lambdas[0]
     assert got == pytest.approx(expect)
 
 
@@ -126,15 +128,17 @@ def _diagonal_operator(d):
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_leading_eigs_arpack_branch(symmetric):
     # above the crossover ARPACK runs on the operator and returns every
-    # pair it verified, _ARPACK_MIN_K of them; below it LAPACK on the
-    # materialized matrix returns the k asked for
-    for n, count in ((linalg.ARPACK_MIN_N + 50, linalg._ARPACK_MIN_K), (50, 3)):
+    # pair it verified, _ARPACK_MIN_K of them; below it, and for k >= n - 1,
+    # LAPACK on the materialized matrix returns all n
+    big = linalg.ARPACK_MIN_N + 50
+    for n, k, count in ((big, 3, linalg._ARPACK_MIN_K), (50, 3, 50),
+                        (big, big - 1, big)):
         d = np.linspace(-0.5, 1.0, n)
         d[7] = -2.0  # largest modulus, smallest value
-        got = linalg.leading_eigs(_diagonal_operator(d), 3, symmetric=symmetric)
+        got = linalg.leading_eigs(_diagonal_operator(d), k, symmetric=symmetric)
         expect = [1.0, d[-2], d[-3]] if symmetric else [-2.0, 1.0, d[-2]]
-        assert len(got.values) == count
-        assert np.allclose(got.values[:3], expect, atol=1e-12)
+        assert len(got.lambdas) == count
+        assert np.allclose(got.lambdas[:3], expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("solver", ["eigs", "eigsh"])
