@@ -8,12 +8,8 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .errors import (
-    DimensionError,
-    InconsistentSteadyStateError,
-    NotStochasticError,
-    ReducibleMatrixError,
-)
+from .errors import (DimensionError, InconsistentSteadyStateError,
+                     NotStochasticError, ReducibleMatrixError)
 
 NEG_CLAMP = 1e-14
 COLSUM_TOL = 1e-12
@@ -68,13 +64,9 @@ def validate(P):
     A NaN or infinite entry fails its column's sum.
     """
     sparse = scipy.sparse.issparse(P)
-    if sparse:
-        P = scipy.sparse.csc_array(P, dtype=float, copy=True)
-        P.sum_duplicates()
-        entries = P.data
-    else:
-        P = np.array(P, dtype=float)
-        entries = P
+    # a copy in StochasticMatrix's storage: the clamp below writes to it
+    P = StochasticMatrix(mat=P.copy() if sparse else np.array(P, dtype=float)).mat
+    entries = P.data if sparse else P
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionError(f"validate: expected a square matrix, got {P.shape}")
     neg = entries < -NEG_CLAMP
@@ -83,16 +75,14 @@ def validate(P):
         j = int(np.searchsorted(P.indptr, k, side="right") - 1 if sparse
                 else k % P.shape[1])
         raise NotStochasticError(
-            f"validate: negative entry in column {j}", column=j
-        )
+            f"validate: negative entry in column {j}", column=j)
     np.maximum(entries, 0.0, out=entries)
     sums = P.sum(axis=0)
     ok = np.abs(sums - 1.0) <= COLSUM_TOL  # False for NaN and inf sums
     if not ok.all():
         j = int(np.argmin(ok))
         raise NotStochasticError(
-            f"validate: column {j} sums to {sums[j]:.17g}", column=j
-        )
+            f"validate: column {j} sums to {sums[j]:.17g}", column=j)
     return StochasticMatrix(mat=P)
 
 
@@ -145,8 +135,7 @@ def steady_state(P):
         if not s.min() > 0.0:
             k = m + int(np.flatnonzero(s <= 0.0)[-1])
             raise ReducibleMatrixError(
-                f"steady_state: P is reducible (zero pivot at state {k})"
-            )
+                f"steady_state: P is reducible (zero pivot at state {k})")
         col /= s
         A[:m, :m] += col @ row
     for hi in range(m, 1, -_GTH_BLOCK):
@@ -159,8 +148,7 @@ def steady_state(P):
             s = row.sum()
             if s <= 0.0:
                 raise ReducibleMatrixError(
-                    f"steady_state: P is reducible (zero pivot at state {k})"
-                )
+                    f"steady_state: P is reducible (zero pivot at state {k})")
             col /= s
             square = A[lo:k, lo:k]
             square += col[lo:, None] * row[lo:]
@@ -178,21 +166,25 @@ def steady_state(P):
 
 
 def time_reversal(P, mu):
-    """Time reversal diag(mu) P^T diag(1/mu), stored like P; column
-    stochastic, fixes mu."""
+    """P* = diag(mu) P^T diag(1/mu), the adjoint of P in l2(1/mu), each
+    entry (P_ji m_i) (1 / m_j) in one expression for both storages (CSC
+    for a sparse P). A mu of the wrong length raises DimensionError, one
+    that sums off 1 by over COLSUM_TOL or is not invariant
+    InconsistentSteadyStateError."""
     m = mu.probs
+    if m.shape != (P.n,):
+        raise DimensionError(f"time_reversal: mu has shape {m.shape}, P {P.n} states")
     if np.any(m <= 0):
         raise ValueError("time_reversal: mu must be strictly positive")
-    if np.max(np.abs(P.mat @ m - m)) > 1e-8:
-        raise InconsistentSteadyStateError("time_reversal: mu is not invariant")
-    if not scipy.sparse.issparse(P.mat):
-        return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m)[None, :])
-    # column j of P is row j of P^T, so P's own arrays are P^T in CSR; each
-    # entry P_ij becomes (P_ij m_j) (1 / m_i), the order of the dense product
-    ptr, rows = P.mat.indptr, P.mat.indices
-    data = P.mat.data * m.repeat(np.diff(ptr)) * (1.0 / m)[rows]
-    return StochasticMatrix(
-        mat=scipy.sparse.csr_array((data, rows, ptr), shape=P.mat.shape))
+    if abs(m.sum() - 1.0) > COLSUM_TOL or np.max(np.abs(P.mat @ m - m)) > 1e-8:
+        raise InconsistentSteadyStateError("time_reversal: mu is not a steady state of P")
+    return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m))
+
+
+def pstar_p(P, mu):
+    """P* P, stored like P: self-adjoint in l2(1/mu), column stochastic.
+    lambda_2 = 1 exactly when it is reducible, as for a periodic P."""
+    return StochasticMatrix(mat=time_reversal(P, mu).mat @ P.mat)
 
 
 def is_irreducible(P):
@@ -204,8 +196,11 @@ def is_irreducible(P):
     # calls this, and it factors anyway
     import scipy.sparse.csgraph
 
+    # csgraph drops dense entries <= 1e-8 and keeps stored zeros: use the nonzeros
+    G = scipy.sparse.csr_array(P.mat)
+    G.eliminate_zeros()
     return scipy.sparse.csgraph.connected_components(
-        P.mat, connection="strong", return_labels=False) == 1
+        G, connection="strong", return_labels=False) == 1
 
 
 def is_reversible(P, mu):
@@ -215,33 +210,27 @@ def is_reversible(P, mu):
 
 
 def pstar_p_spectrum(P, mu, k=None):
-    """The eigenpairs of P* P, the self-adjoint composition of the chain
-    with its time reversal in l2(1/mu), right vectors orthonormal in
-    l2(1/mu): all by default, else every pair linalg.leading_eigs computed,
-    at least the k leading ones.
+    """The eigenpairs of P* P (pstar_p), the self-adjoint composition of
+    the chain with its time reversal in l2(1/mu), right vectors
+    orthonormal in l2(1/mu): all by default, else every pair
+    linalg.leading_eigs computed, at least the k leading ones.
 
-    The similarity M = diag(1/sqrt(mu)) P diag(sqrt(mu)) makes M^T M plain
-    symmetric; it is applied as two products with P, and eigenvectors map
-    back through diag(sqrt(mu)). The leading pair is replaced by the
+    The similarity diag(1/sqrt(mu)) P* P diag(sqrt(mu)) is plain
+    symmetric; it is applied as one product with P* P, and eigenvectors
+    map back through diag(sqrt(mu)). The leading pair is replaced by the
     analytic (mu, ones). P* P is positive semidefinite, so eigenvalues
     that roundoff leaves slightly negative are clamped to 0.
     """
-    m = mu.probs
-    if np.any(m <= 0):
-        raise ValueError("pstar_p_spectrum: mu must be strictly positive")
-    smc, mc = np.sqrt(m)[:, None], m[:, None]
-    PT = P.mat.T  # once: each .T of a sparse P builds a new array
-    MtM = linalg.block_operator(
-        P.n, lambda X: smc * (PT @ ((P.mat @ (smc * X)) / mc)))
-    pairs = linalg.leading_eigs(MtM, k or P.n, symmetric=True, vectors=True)
+    Q, smc = pstar_p(P, mu).mat, np.sqrt(mu.probs)[:, None]
+    S = linalg.block_operator(P.n, lambda X: (Q @ (smc * X)) / smc)
+    pairs = linalg.leading_eigs(S, k or P.n, symmetric=True, vectors=True)
     lambdas = np.maximum(pairs.lambdas, 0.0)
     if abs(lambdas[0] - 1.0) > 1e-8:
         raise InconsistentSteadyStateError(
-            f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1"
-        )
+            f"pstar_p_spectrum: leading eigenvalue {lambdas[0]:.12g} != 1")
     right = smc * pairs.vectors
     lambdas[0] = 1.0
-    right[:, 0] = m
+    right[:, 0] = mu.probs
     return linalg.EigenPairs(lambdas=lambdas, vectors=right)
 
 

@@ -31,8 +31,12 @@ class Partition:
 
 
 def make_partition(assignment, n=None):
-    """Build and validate a partition from an assignment vector."""
-    assignment = np.asarray(assignment, dtype=int)
+    """Build and validate a partition from a vector of integral labels."""
+    labels = np.asarray(assignment)
+    with np.errstate(invalid="ignore"):  # a NaN or infinite label casts unequal
+        assignment = labels.astype(int, copy=False)
+    if not np.array_equal(assignment, labels):
+        raise PartitionError("make_partition: labels must be integers")
     if assignment.ndim != 1 or assignment.size == 0:
         raise PartitionError("make_partition: assignment must be a nonempty vector")
     if n is None:

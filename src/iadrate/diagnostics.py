@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import (StochasticMatrix, is_irreducible, is_reversible,
-                    pstar_p_spectrum, steady_state, time_reversal)
+from .chain import is_irreducible, is_reversible, pstar_p, pstar_p_spectrum, steady_state
 from .coarse import (coarse_projection, complement, is_refinement,
                      trivial_partition)
 from .errors import PartitionError, ReducibleMatrixError, RefinementError
@@ -52,13 +51,14 @@ class ChainRates:
 
     P must be irreducible: the steady state mu defaults to refuses a
     reducible P, and a given mu is checked on the graph of P, both with
-    ReducibleMatrixError. What depends on the chain alone is computed at
-    most once: the reversibility test and rho_J's Gershgorin floor here,
-    and when first needed the scaled resolvent of P, for a non-reversible
-    chain that of P* P, the leading P* P eigenpairs and rho(P_hat). What
-    depends on the partition is kept for the last one asked about: the
-    spectra of the projected resolvents, which rho_J, the exact formula
-    and the norm bound read, and rho_J.
+    ReducibleMatrixError; chain.time_reversal checks that a given mu is a
+    steady state. Computed at most once: the reversibility test and
+    rho_J's Gershgorin floor here, and when first needed the verdict on
+    P* P's irreducibility, the scaled resolvent of P, for a
+    non-reversible chain that of P* P, the leading P* P eigenpairs and
+    rho(P_hat). Kept for the last partition asked about: the spectra of
+    the projected resolvents, which rho_J, the exact formula and the
+    norm bound read, and rho_J.
     """
 
     def __init__(self, P, mu=None):
@@ -69,35 +69,36 @@ class ChainRates:
         self.P, self.mu = P, mu
         self.reversible = bool(is_reversible(P, mu))
         self.floor = max(0.0, 1.0 - 2.0 * float(P.mat.diagonal().min()))
-        self._sd = self._rho_hatP = None
+        self._sd = self._rho_hatP = self._pstar_p_verdict = None
         self._Rs = {}
         self._last = (None, {})
 
-    def _pstar_p(self):
-        """P* P = time_reversal(P) P, in the format P is stored in. Its
-        graph decides lambda_2 = 1 exactly: that holds when the graph is
-        not strongly connected, as for a periodic P."""
-        return time_reversal(self.P, self.mu).mat @ self.P.mat
+    def _irreducible_pstar_p(self, Q=None):
+        """Whether P* P (Q, if the caller formed it) is irreducible, decided
+        on first use: lambda_2 = 1 exactly when it is not (chain.pstar_p)."""
+        if self._pstar_p_verdict is None:
+            self._pstar_p_verdict = is_irreducible(Q or pstar_p(self.P, self.mu))
+        return self._pstar_p_verdict
 
-    def _scaled_resolvent(self, pstar_p):
+    def _scaled_resolvent(self, composed):
         """Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)), R the resolvent of P, or
-        of P* P, built on first use as an operator on the sparse LU factor
-        and materialized below linalg.ARPACK_MIN_N (80 KB at N = 100). Rs
-        is symmetric when R is self-adjoint in l2(1/mu), as for a
-        reversible P and for P* P."""
-        if pstar_p not in self._Rs:
-            Q = self._pstar_p() if pstar_p else self.P.mat
-            if pstar_p and not is_irreducible(StochasticMatrix(mat=Q)):
+        of P* P when composed, built on first use as an operator on the
+        sparse LU factor and materialized below linalg.ARPACK_MIN_N (80 KB
+        at N = 100). Rs is symmetric when R is self-adjoint in l2(1/mu),
+        as for a reversible P and for P* P."""
+        if composed not in self._Rs:
+            Q = pstar_p(self.P, self.mu) if composed else self.P
+            if composed and not self._irreducible_pstar_p(Q):
                 raise ReducibleMatrixError(
                     "norm_bound: P* P is reducible (lambda_2 = 1); the "
                     "non-reversible norm bound is undefined")
-            R = linalg.resolvent(Q, self.mu.probs)
+            R = linalg.resolvent(Q.mat, self.mu.probs)
             smc = np.sqrt(self.mu.probs)[:, None]
             Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
             if self.P.n < linalg.ARPACK_MIN_N:
                 Rs = Rs @ np.eye(self.P.n)
-            self._Rs[pstar_p] = Rs
-        return self._Rs[pstar_p]
+            self._Rs[composed] = Rs
+        return self._Rs[composed]
 
     def pairs(self, k):
         """The P* P eigenpairs computed so far, solved again only when k
@@ -156,9 +157,9 @@ class ChainRates:
             self._last = (key, {})
         return self._last[1]
 
-    def _spectrum(self, part, pstar_p=False):
+    def _spectrum(self, part, composed=False):
         """The nonzero eigenvalues of K = (I - Pi) R (I - Pi), R the
-        resolvent of P, or of P* P when pstar_p (none for singleton
+        resolvent of P, or of P* P when composed (none for singleton
         strata, where Pi = I and K = 0).
 
         They are those of M = (I - Pi~) Rs (I - Pi~) =
@@ -172,9 +173,9 @@ class ChainRates:
         memo = self._memo(part)
         if part.n == self.P.n:
             return np.zeros(0)
-        if pstar_p not in memo:
-            Rs = self._scaled_resolvent(pstar_p)
-            symmetric = self.reversible or pstar_p
+        if composed not in memo:
+            Rs = self._scaled_resolvent(composed)
+            symmetric = self.reversible or composed
             E = complement(self.mu.probs, part)
             if isinstance(Rs, np.ndarray):
                 M = E(E(Rs).T).T
@@ -187,8 +188,8 @@ class ChainRates:
             else:
                 M = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X)))
             lam = linalg.leading_eigs(M, 1, symmetric=symmetric).lambdas
-            memo[pstar_p] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
-        return memo[pstar_p]
+            memo[composed] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
+        return memo[composed]
 
     def rho_J(self, part):
         """rho(J(mu)), the largest eigenvalue modulus of the error operator:
@@ -241,18 +242,17 @@ class ChainRates:
         """
         if self.reversible or part.n == self.P.n:
             return self.rho_J(part)
-        lam = self._spectrum(part, pstar_p=True)
+        lam = self._spectrum(part, composed=True)
         return float(np.sqrt(1.0 - 1.0 / float(lam.max())))
 
     def angle(self, part, k):
         """(sin^2 theta, angle bound) for the k leading eigenvectors of
         P* P; the bound is NaN when lambda_2 = 1, where it is undefined.
         Roundoff leaves a computed lambda_2 on either side of 1, so where
-        it is within 1e-8 of 1 the graph of P* P decides."""
+        it is within 1e-8 of 1 the chain's one P* P verdict decides."""
         sd = self.pairs(min(k + 1, self.P.n))
         s = sin_theta(self.P, self.mu, part, k, sd)
-        if sd.lambdas[1] > 1.0 - 1e-8 and not is_irreducible(
-                StochasticMatrix(mat=self._pstar_p())):
+        if sd.lambdas[1] > 1.0 - 1e-8 and not self._irreducible_pstar_p():
             return s * s, float("nan")
         return s * s, angle_bound(sd.lambdas, s * s, k, self.reversible)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .chain import ProbabilityVector, steady_state
 from .coarse import (coarse_matrix, coarse_pattern, disaggregate,
                      disaggregation_weights, make_partition)
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ReducibleMatrixError
 
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,7 +36,8 @@ class IadConfig:
         if isinstance(self.tau, bool) or not (
                 isinstance(self.tau, numbers.Real) and 0 < self.tau < np.inf):
             raise ValueError("IadConfig: tau must be a finite positive number")
-        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+        if isinstance(self.max_outer, bool) or not isinstance(
+                self.max_outer, (int, np.integer)) or self.max_outer < 1:
             raise ValueError("IadConfig: max_outer must be an integer of at least 1")
 
 
@@ -95,6 +96,7 @@ def iad_solve(P, part, mu0, cfg=None):
     The steps run on `part` relabelled by _independent_last, once per
     solve; the labels change no iterate beyond roundoff.
 
+    A zero row of P, a transient state, raises ReducibleMatrixError.
     Raises NonConvergenceError carrying the trace when max_outer is
     exhausted, which some aggregation choices genuinely trigger.
     """
@@ -102,6 +104,9 @@ def iad_solve(P, part, mu0, cfg=None):
         cfg = IadConfig()
     if np.any(mu0.probs <= 0):
         raise ValueError("iad_solve: mu0 must be strictly positive")
+    into = P.mat @ np.ones(P.n)  # row sums: the mass each state receives
+    if not into.min() > 0.0:
+        raise ReducibleMatrixError(f"iad_solve: transient state {into.argmin()}")
     part = _independent_last(P, part)
     pattern = coarse_pattern(P, part)
     trace = IadTrace(iterates=deque([mu0], maxlen=_TAIL))

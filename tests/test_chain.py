@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (deviation, gth_reference, qr_null_vector, random_chain,
                       random_reversible_chain)
-from iadrate import chain, models
+from iadrate import chain, diagnostics, models
 from iadrate.errors import (
     InconsistentSteadyStateError,
     NotStochasticError,
@@ -86,6 +86,26 @@ def test_is_irreducible_agrees_with_steady_state():
         assert chain.is_irreducible(P) == expect, name
     assert chain.is_irreducible(chains["2D axis moves"])
     assert not chain.is_irreducible(chains["2D diagonal moves"])
+
+
+@pytest.mark.parametrize("coupling", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_is_irreducible_reads_every_nonzero(coupling):
+    # csgraph reads a dense array as if entries of 1e-8 and below were
+    # absent; the graph test sees them in either storage, and ChainRates
+    # accepts the dense chain with its mu (the smallest cross entries are
+    # 7.4e-12 at coupling 1e-9)
+    P, mu = random_reversible_chain(np.random.default_rng(0), 10, split=5,
+                                    coupling=coupling)
+    csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.mat))
+    assert chain.is_irreducible(P) and chain.is_irreducible(csc)
+    assert diagnostics.ChainRates(P, mu).reversible
+    tiny = np.array([[0.5, 1e-8], [0.5, 1.0 - 1e-8]])
+    assert chain.is_irreducible(chain.StochasticMatrix(mat=tiny))
+    # nor is a stored zero an edge: validate clamps the -1e-15 to one
+    clamped = chain.validate(scipy.sparse.csc_array(
+        np.array([[0.5, -1e-15], [0.5, 1.0 + 1e-15]])))
+    assert clamped.mat.nnz == 4 and clamped.mat[0, 1] == 0.0
+    assert not chain.is_irreducible(clamped)
 
 
 def test_ptp_irreducible_marek_false():
@@ -272,9 +292,9 @@ def test_time_reversal_keeps_csc(bench_1d):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.15])
 def test_time_reversal_is_bitwise_the_broadcast_formula(alpha):
-    # the sparse branch scales P's own arrays in the order of the dense
-    # broadcast m_i P_ji (1 / m_j): every entry equal bit for bit, on dense
-    # and on sparse input, random or banded
+    # one broadcast m_i P_ji (1 / m_j) serves both storages: every entry
+    # equal bit for bit to the dense formula's, on dense and on sparse
+    # input, random or banded
     rng = np.random.default_rng(11)
     Q = random_chain(rng, 40)
     P, mu, _ = models.build_model({"alpha": alpha})
@@ -287,9 +307,23 @@ def test_time_reversal_is_bitwise_the_broadcast_formula(alpha):
             R = chain.time_reversal(chain.StochasticMatrix(mat=stored), mu)
             assert scipy.sparse.issparse(R.mat) == scipy.sparse.issparse(stored)
             assert np.array_equal(R.dense(), expect)
-            if scipy.sparse.issparse(stored):
-                broadcast = stored.T * m[:, None] * (1.0 / m)[None, :]
-                assert np.array_equal(R.dense(), broadcast.toarray())
+
+
+def test_pstar_p_is_self_adjoint_and_stored_like_p():
+    # the non-reversible 1D mixture, where P* P != P^2: column stochastic,
+    # fixes mu, self-adjoint in l2(1/mu), and the same in either storage
+    P, _, _ = models.build_model({"alpha": 0.05})
+    mu = chain.steady_state(P)
+    m = mu.probs
+    Q = chain.pstar_p(P, mu)
+    assert Q.mat.format == "csc"
+    D = Q.dense()
+    assert np.allclose(D.sum(axis=0), 1.0, atol=1e-14)
+    assert np.allclose(D @ m, m, atol=1e-15)
+    assert np.allclose(D / m[:, None], (D / m[:, None]).T, rtol=1e-12, atol=0)
+    dense = chain.pstar_p(chain.StochasticMatrix(mat=P.dense()), mu)
+    assert isinstance(dense.mat, np.ndarray)
+    assert np.allclose(dense.mat, D, rtol=1e-14, atol=1e-17)
 
 
 def test_pstar_p_spectrum_structure():

@@ -234,10 +234,10 @@ def test_tables_prepares_each_chain_once(tmp_path, monkeypatch):
     one_stratum = []
     spectrum = diagnostics.ChainRates._spectrum
 
-    def counting(self, part, pstar_p=False):
+    def counting(self, part, composed=False):
         if part.n == 1:
             one_stratum.append(id(self))
-        return spectrum(self, part, pstar_p)
+        return spectrum(self, part, composed)
 
     monkeypatch.setattr(diagnostics.ChainRates, "_spectrum", counting)
     assert main(["tables", "--max-n", "1", "--out", str(tmp_path)]) == 0

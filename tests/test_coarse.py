@@ -28,6 +28,17 @@ def test_make_partition_rejects_empty_stratum():
         coarse.make_partition(np.array([0, 0, 2]), 3)
 
 
+def test_make_partition_rejects_non_integral_labels():
+    for bad in ([0.5, 1.7, 1.2], [0.0, 1.0, np.nan], [0.0, np.inf, 1.0],
+                [0.0, 1.0 + 1e-12, 1.0]):
+        with pytest.raises(PartitionError, match="integers"):
+            coarse.make_partition(np.array(bad))
+    # integral values of any numeric dtype are labels
+    for dtype in (float, np.float32, np.uint8, np.int16):
+        part = coarse.make_partition(np.array([0, 1, 1], dtype=dtype))
+        assert part.n == 2 and part.assignment.tolist() == [0, 1, 1]
+
+
 def test_aggregate_sums_strata():
     part = two_state_partition()
     out = coarse.aggregate(np.array([0.2, 0.3, 0.5]), part)

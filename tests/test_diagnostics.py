@@ -20,7 +20,9 @@ from conftest import (
     random_reversible_chain,
 )
 from iadrate import chain, coarse, diagnostics, linalg, models
-from iadrate.errors import IadError, PartitionError, ReducibleMatrixError
+from iadrate.errors import (DimensionError, IadError,
+                            InconsistentSteadyStateError, PartitionError,
+                            ReducibleMatrixError)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -893,6 +895,43 @@ def test_periodic_chains_have_no_pstar_p_bounds(half, kind, arpack, seed):
                 rates.norm_bound(part)
         for k in (2, 3):
             assert np.isnan(rates.angle(part, k)[1])
+
+
+def test_pstar_p_irreducibility_is_decided_once(monkeypatch):
+    # on the 4-cycle P* P = I, so lambda_2 = 1: repeated angle calls and
+    # the norm bound read one verdict on the graph of P* P
+    P = models.right_shift(4)
+    mu = chain.ProbabilityVector(probs=np.full(4, 0.25))
+    part = coarse.make_partition(np.array([0, 0, 1, 1]))
+    rates = diagnostics.ChainRates(P, mu)
+    graphs = count_calls(monkeypatch, chain.is_irreducible, chain, diagnostics)
+    for _ in range(3):
+        assert np.isnan(rates.angle(part, 2)[1])
+    assert len(graphs) == 1
+    with pytest.raises(ReducibleMatrixError, match=r"P\* P is reducible"):
+        rates.norm_bound(part)
+    assert len(graphs) == 1
+
+
+def test_chain_rates_checks_a_given_mu():
+    # a mu of another length, or one that does not sum to 1, would reach
+    # numpy's matmul or the resolvent, which assumes 1^T mu = 1, and skew
+    # every P* P-derived value without an error
+    P, mu, part = models.build_model({"partition": "split1d:ell=57"})
+    short = chain.ProbabilityVector(probs=mu.probs[:-1] / mu.probs[:-1].sum())
+    triple = chain.ProbabilityVector(probs=3.0 * mu.probs)
+    for bad, error in ((short, DimensionError), (triple, InconsistentSteadyStateError)):
+        for call in (lambda: diagnostics.ChainRates(P, bad),
+                     lambda: diagnostics.full_report(P, part, [2], bad),
+                     lambda: diagnostics.norm_bound(P, bad, part)):
+            with pytest.raises(error, match="^time_reversal: mu"):
+                call()
+    # the Boltzmann mu of the model chains and the GTH mu of their
+    # non-reversible mixtures pass
+    for cfg in ({}, {"alpha": 0.05}, {"model": "chain2d", "N": 15},
+                {"model": "chain2d", "N": 15, "alpha": 0.05}):
+        P, mu, _ = models.build_model(cfg)
+        diagnostics.ChainRates(P, mu if mu is not None else chain.steady_state(P))
 
 
 def test_angle_bound_of_the_even_cycle_is_nan_on_both_branches():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="tau"):
             iad.IadConfig(tau=bad)
     assert iad.IadConfig(tau=np.float64(1e-6)).tau == 1e-6
-    with pytest.raises(ValueError):
-        iad.IadConfig(max_outer=0)
+    # True is an int, and would otherwise pass as one step
+    for bad in (0, True):
+        with pytest.raises(ValueError, match="max_outer"):
+            iad.IadConfig(max_outer=bad)
 
 
 def test_config_rejects_a_non_integer_max_outer():
@@ -69,6 +72,20 @@ def test_coarse_steady_state_reducible_raises():
     C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu0.probs, part), part)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1], [0, 0, 1]])
+def test_transient_state_raises_on_every_partition(labels):
+    # no state moves to state 2: P keeps every iterate zero there. Its own
+    # stratum makes the coarse chain reducible; shared with state 1, the
+    # coarse chain hides it, and the solve must still refuse P, untyped
+    # errors and warnings being failures
+    P = chain.validate(np.array([[0.5, 0.5, 0.3], [0.5, 0.5, 0.7], [0.0, 0.0, 0.0]]))
+    part = coarse.make_partition(np.array(labels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReducibleMatrixError, match="transient state 2"):
+            iad.iad_solve(P, part, uniform_pv(3))
 
 
 def test_iad_step_single_coarse_state_is_power_step():
