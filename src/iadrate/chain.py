@@ -64,26 +64,35 @@ def validate(P):
     A NaN or infinite entry fails its column's sum.
     """
     sparse = scipy.sparse.issparse(P)
-    # a copy in StochasticMatrix's storage: the clamp below writes to it
+    # a copy in StochasticMatrix's storage: the clamp writes to it
     P = StochasticMatrix(mat=P.copy() if sparse else np.array(P, dtype=float)).mat
-    entries = P.data if sparse else P
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionError(f"validate: expected a square matrix, got {P.shape}")
-    neg = entries < -NEG_CLAMP
-    if neg.any():
-        k = np.flatnonzero(neg)[0]
-        j = int(np.searchsorted(P.indptr, k, side="right") - 1 if sparse
-                else k % P.shape[1])
-        raise NotStochasticError(
-            f"validate: negative entry in column {j}", column=j)
-    np.maximum(entries, 0.0, out=entries)
+    _check_stochastic(P)
+    return StochasticMatrix(mat=P)
+
+
+def _check_stochastic(P):
+    """validate's checks on a square float matrix, dense or CSC, in place:
+    raise on an entry below -NEG_CLAMP, clamp the other negatives to 0,
+    raise on a column summing off 1 by over COLSUM_TOL. A few reductions
+    when they pass; coarse_matrix runs them on its own buffer."""
+    sparse = scipy.sparse.issparse(P)
+    entries = P.data if sparse else P
+    if not entries.min(initial=0.0) >= 0.0:  # a negative or NaN entry
+        neg = entries < -NEG_CLAMP
+        if neg.any():
+            k = np.flatnonzero(neg)[0]
+            j = int(np.searchsorted(P.indptr, k, side="right") - 1 if sparse
+                    else k % P.shape[1])
+            raise NotStochasticError(
+                f"validate: negative entry in column {j}", column=j)
+        np.maximum(entries, 0.0, out=entries)
     sums = P.sum(axis=0)
-    ok = np.abs(sums - 1.0) <= COLSUM_TOL  # False for NaN and inf sums
-    if not ok.all():
-        j = int(np.argmin(ok))
+    if not np.abs(sums - 1.0).max() <= COLSUM_TOL:  # also for NaN and inf sums
+        j = int(np.argmin(np.abs(sums - 1.0) <= COLSUM_TOL))
         raise NotStochasticError(
             f"validate: column {j} sums to {sums[j]:.17g}", column=j)
-    return StochasticMatrix(mat=P)
 
 
 def _independent_tail(A):
@@ -114,7 +123,11 @@ def steady_state(P):
     puts last in a coarse chain, goes first and at once: censoring one
     of them changes no entry of the others, so their pivots are their
     row sums over the kept states, one product updates the kept block,
-    and one product fills the run in at back-substitution. The kept
+    and one product fills the run in at back-substitution. This
+    function finds the run with one scan of the nonzeros
+    (_independent_tail) and eliminates a copy of P^T; the IAD step runs
+    the same kernel, _gth, on its own buffer with the run it planned
+    once per solve. Diagonal entries are never read. The kept
     states then go _GTH_BLOCK at a time. Within a block, each step first
     brings its own row and column up to date with the block's earlier
     steps, one product each, and updates only the block's square in
@@ -127,8 +140,17 @@ def steady_state(P):
     exact tests of irreducibility.
     """
     A = np.array(P.dense().T, dtype=float)
-    n = P.n
-    m = _independent_tail(A)
+    return ProbabilityVector(probs=_gth(A, _independent_tail(A)))
+
+
+def _gth(A, m):
+    """The normalized steady state of the chain with row-stochastic
+    A = P^T, by steady_state's elimination, in place on A: states
+    m..n-1 are a trailing run of mutually non-adjacent ones, which it
+    censors at once (m = n for none). The results depend on A's memory
+    layout through the BLAS products; steady_state and the IAD step
+    both pass an F-ordered A."""
+    n = A.shape[0]
     if m < n:
         row, col = A[m:, :m], A[:m, m:]
         s = row.sum(axis=1)
@@ -150,19 +172,20 @@ def steady_state(P):
                 raise ReducibleMatrixError(
                     f"steady_state: P is reducible (zero pivot at state {k})")
             col /= s
-            square = A[lo:k, lo:k]
-            square += col[lo:, None] * row[lo:]
+            if k > lo + 1:  # else the square is one diagonal entry, which no step reads
+                square = A[lo:k, lo:k]
+                square += col[lo:, None] * row[lo:]
         if lo:
             A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     pi = np.empty(n)
     pi[0] = 1.0
     for k in range(1, m):
-        pi[k] = pi[:k] @ A[:k, k]
+        pi[k] = pi[:k].dot(A[:k, k])
     if m < n:
         pi[m:] = pi[:m] @ A[:m, m:]
-    if not np.all(pi > 0):
+    if not pi.min() > 0.0:
         raise ReducibleMatrixError("steady_state: P is reducible (transient state)")
-    return ProbabilityVector(probs=pi / pi.sum())
+    return pi / pi.sum()
 
 
 def time_reversal(P, mu):

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .chain import validate
+from .chain import StochasticMatrix, _check_stochastic
 from .errors import PartitionError, ZeroMassStratumError
 
 
@@ -77,7 +77,7 @@ def aggregate(nu, part):
 def disaggregation_weights(nu, part):
     """D(nu)'s entries nu_j / (A nu)_{a(j)}; a massless stratum raises."""
     anu = aggregate(nu, part)
-    if (anu <= 0).any():
+    if not anu.min() > 0.0 and (anu <= 0).any():  # one reduction when all are positive
         i = int(np.argmax(anu <= 0))
         raise ZeroMassStratumError(f"coarse state {i} has nonpositive mass")
     return nu / anu[part.assignment]
@@ -120,12 +120,15 @@ def coarse_matrix(P, w, part, pattern=None):
 
     C[i, a(j)] is the sum of (A P)_ij nu_j / (A nu)_{a(j)} over the
     nonzeros of A P, taken in one bincount; no N x n matrix is formed.
+    validate's checks run on the bincount's own C-ordered buffer, in
+    place, and raise validate's errors; the matrix holds that buffer.
     `pattern` is `coarse_pattern(P, part)`, built here when not given.
     """
     cols, keys, vals = coarse_pattern(P, part) if pattern is None else pattern
     n = part.n
-    C = np.bincount(keys, weights=vals * w[cols], minlength=n * n)
-    return validate(C.reshape(n, n))
+    C = np.bincount(keys, weights=vals * w[cols], minlength=n * n).reshape(n, n)
+    _check_stochastic(C)
+    return StochasticMatrix(mat=C)
 
 
 def complement(nu, part):

@@ -129,17 +129,29 @@ def _arpack_eigs(A, k, symmetric, vectors):
     n = A.shape[0]
     want = min(max(k, _ARPACK_MIN_K), n - 2)
     v0 = np.random.default_rng(12345).uniform(0.5, 1.5, n)
-    opts = dict(k=want, v0=v0, ncv=min(n, max(2 * want + 1, 20)))
-    try:
+
+    def run(ncv):
+        opts = dict(k=want, v0=v0, ncv=ncv)
         if symmetric:
-            vals, V = scipy.sparse.linalg.eigsh(A, which="LA", **opts)
-            order = np.argsort(-vals, kind="stable")
-        else:
-            vals, V = scipy.sparse.linalg.eigs(A, which="LM", **opts)
-            order = _by_modulus(vals)
+            return scipy.sparse.linalg.eigsh(A, which="LA", **opts)
+        return scipy.sparse.linalg.eigs(A, which="LM", **opts)
+
+    ncv = min(n, max(2 * want + 1, 20))
+    try:
+        try:
+            vals, V = run(ncv)
+        except scipy.sparse.linalg.ArpackError:
+            # ARPACK can find no shift to apply (its error 3) where a
+            # multiple eigenvalue meets the edge of the wanted set, as
+            # lambda = 1 twice in the P* P of a periodic chain; twice the
+            # Krylov space gets past it
+            if ncv == n:
+                raise
+            vals, V = run(min(n, 2 * ncv))
     except (scipy.sparse.linalg.ArpackError,
             scipy.sparse.linalg.ArpackNoConvergence) as exc:
         raise EigenConvergenceError(f"leading_eigs: ARPACK failed: {exc}") from exc
+    order = np.argsort(-vals, kind="stable") if symmetric else _by_modulus(vals)
     vals, V = vals[order], V[:, order]
     AV = A @ V.real if symmetric else A @ V.real + 1j * (A @ V.imag)
     res = np.linalg.norm(AV - V * vals, axis=0)

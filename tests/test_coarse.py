@@ -16,7 +16,7 @@ from conftest import (
     random_reversible_chain,
 )
 from iadrate import chain, coarse, iad, models
-from iadrate.errors import PartitionError, ZeroMassStratumError
+from iadrate.errors import NotStochasticError, PartitionError, ZeroMassStratumError
 
 
 def two_state_partition():
@@ -274,3 +274,36 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
         assert np.max(np.abs(coarse.coarse_matrix(Q, w, part).mat - oracle)) <= 1e-14
     gap = iad.iad_step(dense, part, nu).probs - iad.iad_step(csc, part, nu).probs
     assert np.max(np.abs(gap)) <= 1e-14
+
+
+@pytest.mark.parametrize("defect", ["negative", "tiny_negative", "column_sum", "nan"])
+def test_coarse_matrix_checks_its_buffer_as_validate_checks_a_copy(defect):
+    # coarse_matrix checks the bincount's own buffer in place: the same
+    # clamp, and the same error type, column and message as validate on
+    # the same numbers
+    rng = np.random.default_rng(11)
+    raw = random_chain(rng, 6).dense().copy()
+    nu = rng.random(6) + 0.1
+    if defect in ("negative", "tiny_negative"):
+        # stratum 2 receives a negative mass from columns 0 and 1
+        shift = raw[4:, :2].sum(axis=0) + (0.1 if defect == "negative" else 1e-15)
+        raw[4, :2] -= shift
+        raw[0, :2] += shift
+    elif defect == "column_sum":
+        raw[5, 2] += 1e-9
+    else:
+        nu[0] = np.nan
+    P = chain.StochasticMatrix(mat=raw)
+    part = coarse.make_partition(np.array([0, 0, 1, 1, 2, 2]), 3)
+    w = nu / coarse.aggregate(nu, part)[part.assignment]
+    cols, keys, vals = coarse.coarse_pattern(P, part)
+    numbers = np.bincount(keys, weights=vals * w[cols], minlength=9).reshape(3, 3)
+    try:
+        expected = chain.validate(numbers)
+    except NotStochasticError as exc:
+        with pytest.raises(NotStochasticError) as got:
+            coarse.coarse_matrix(P, w, part)
+        assert str(got.value) == str(exc) and got.value.column == exc.column
+    else:
+        assert defect == "tiny_negative" and numbers.min() < 0
+        assert np.array_equal(coarse.coarse_matrix(P, w, part).mat, expected.mat)

@@ -294,7 +294,11 @@ def test_iad_solve_iterates_match_composed_public_steps(kind, csc, N, n, seed):
         _, trace = iad.iad_solve(P, part, mu0, iad.IadConfig(max_outer=4))
     except NonConvergenceError as exc:
         trace = exc.trace
+    # on the solve's labels the composed steps are the solve's, bit for
+    # bit; on the given labels they differ at roundoff
+    labelled = iad._independent_last(P, part)
     for before, after in itertools.pairwise(trace.iterates):
+        assert np.array_equal(after.probs, _composed_step(P, labelled, before))
         gap = after.probs - _composed_step(P, part, before)
         assert np.max(np.abs(gap)) <= 1e-14
 
@@ -329,6 +333,74 @@ def test_reducible_coarse_chains_raise_through_the_hoisted_step():
                           relabel[part.assignment])
     with pytest.raises(ReducibleMatrixError):
         iad.iad_solve(P, part, uniform_pv(200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(1, 120), st.floats(0.02, 1.0), st.integers(0, 10_000))
+def test_step_products_reproduce_P_times_x_bit_for_bit(csc, N, density, seed):
+    # the plan keeps a sparse P as CSR for the step's products: each entry
+    # sums the same products in the same column order as CSC's
+    rng = np.random.default_rng(seed)
+    raw = rng.random((N, N)) * (rng.random((N, N)) < density) + np.eye(N)
+    P = chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
+    if csc:
+        P = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
+    plan = iad._solve_plan(P, coarse.trivial_partition(N))
+    assert scipy.sparse.issparse(plan.mat) == csc
+    for x in (rng.random(N), rng.dirichlet(np.ones(N))):
+        assert np.array_equal(plan.mat @ x, P.mat @ x)
+
+
+@pytest.mark.parametrize("max_outer", [1, 3, 12])
+def test_each_solve_plans_its_steps_once(monkeypatch, max_outer):
+    # the coarse pattern, the relabelling and the coarse GTH's tail start
+    # depend only on P and the strata: one of each per solve, not per step
+    P, part = _local_chain("chain1d", 40, 2)
+    assert iad._independent_last(P, part) is not part
+    patterns = count_calls(monkeypatch, coarse.coarse_pattern, iad, coarse)
+    relabels = count_calls(monkeypatch, iad._independent_last, iad)
+    tails = count_calls(monkeypatch, chain._independent_tail, iad, chain)
+    try:
+        _, trace = iad.iad_solve(P, part, uniform_pv(P.n),
+                                 iad.IadConfig(max_outer=max_outer))
+    except NonConvergenceError as exc:
+        trace = exc.trace
+    assert len(trace.rel_changes) == max_outer
+    assert len(patterns) == len(relabels) == len(tails) == 1
+
+
+def test_coarse_gth_raises_through_the_plans_tail():
+    # two copies of the 10 x 10 chain with no move between them, each
+    # under its own 2 x 2 grid: the plan puts 4 non-adjacent strata last,
+    # the coarse GTH censors them at once from the plan's tail start, and
+    # the two closed classes left meet a zero pivot
+    spec = dataclasses.replace(models.benchmark_chain_2d_spec(), N=10)
+    one = models.reversible_chain_2d(models.boltzmann_2d(spec), spec).mat
+    P = chain.StochasticMatrix(mat=scipy.sparse.block_diag((one, one), format="csc"))
+    a = models.grid2d(10, 2).assignment
+    plan = iad._solve_plan(P, coarse.make_partition(np.concatenate([a, a + 4]), 8))
+    assert plan.tail == 4
+    w = coarse.disaggregation_weights(np.full(200, 1 / 200), plan.part)
+    with pytest.raises(ReducibleMatrixError, match="zero pivot at state 2"):
+        iad.coarse_steady_state(P, w, plan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_a_non_finite_or_non_positive_start_is_refused(bad):
+    # an x <= 0 screen lets NaN reach validate and inf warn in the
+    # weights; each is refused before the first step, untyped errors and
+    # warnings being failures
+    P, _ = random_reversible_chain(np.random.default_rng(9), 6)
+    part = coarse.make_partition(np.array([0, 0, 0, 1, 1, 1]), 2)
+    x = np.full(6, 1 / 6)
+    x[4] = bad
+    mu0 = chain.ProbabilityVector(probs=x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu0 must be finite and strictly positive"):
+            iad.iad_solve(P, part, mu0)
+        with pytest.raises(ValueError, match="iterate must be finite and strictly positive"):
+            iad.iad_step(P, part, mu0)
 
 
 def test_each_step_aggregates_its_iterate_once(monkeypatch):
