@@ -72,6 +72,12 @@ def validate(P):
     return StochasticMatrix(mat=P)
 
 
+def _require_positive(x, what):
+    """Refuse a vector with a zero, negative, NaN or infinite entry."""
+    if not (x.min() > 0.0 and x.max() < np.inf):
+        raise ValueError(f"{what} must be finite and strictly positive")
+
+
 def _check_stochastic(P):
     """validate's checks on a square float matrix, dense or CSC, in place:
     raise on an entry below -NEG_CLAMP, clamp the other negatives to 0,
@@ -125,9 +131,9 @@ def steady_state(P):
     row sums over the kept states, one product updates the kept block,
     and one product fills the run in at back-substitution. This
     function finds the run with one scan of the nonzeros
-    (_independent_tail) and eliminates a copy of P^T; the IAD step runs
-    the same kernel, _gth, on its own buffer with the run it planned
-    once per solve. Diagonal entries are never read. The kept
+    (_independent_tail) and eliminates a copy of P^T; the IAD solve's
+    coarse_steady_state runs the same kernel, _gth, on its own buffer
+    from its IadPlan's tail. Diagonal entries are never read. The kept
     states then go _GTH_BLOCK at a time. Within a block, each step first
     brings its own row and column up to date with the block's earlier
     steps, one product each, and updates only the block's square in
@@ -192,13 +198,13 @@ def time_reversal(P, mu):
     """P* = diag(mu) P^T diag(1/mu), the adjoint of P in l2(1/mu), each
     entry (P_ji m_i) (1 / m_j) in one expression for both storages (CSC
     for a sparse P). A mu of the wrong length raises DimensionError, one
-    that sums off 1 by over COLSUM_TOL or is not invariant
+    with a zero, negative, NaN or infinite entry ValueError, one that
+    sums off 1 by over COLSUM_TOL or is not invariant
     InconsistentSteadyStateError."""
     m = mu.probs
     if m.shape != (P.n,):
         raise DimensionError(f"time_reversal: mu has shape {m.shape}, P {P.n} states")
-    if np.any(m <= 0):
-        raise ValueError("time_reversal: mu must be strictly positive")
+    _require_positive(m, "time_reversal: mu")
     if abs(m.sum() - 1.0) > COLSUM_TOL or np.max(np.abs(P.mat @ m - m)) > 1e-8:
         raise InconsistentSteadyStateError("time_reversal: mu is not a steady state of P")
     return StochasticMatrix(mat=P.mat.T * m[:, None] * (1.0 / m))

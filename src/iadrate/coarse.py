@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .chain import StochasticMatrix, _check_stochastic
+from .chain import StochasticMatrix, _check_stochastic, _require_positive
 from .errors import PartitionError, ZeroMassStratumError
 
 
@@ -153,8 +153,7 @@ def coarse_projection(P, mu, nu, part):
     not when the coarse chain is nearly decomposable.
     """
     nu = nu.probs
-    if np.any(nu <= 0):
-        raise ValueError("coarse_projection: nu must be strictly positive")
+    _require_positive(nu, "coarse_projection: nu")
     B = -_aggregated(P, part).toarray()
     B[part.assignment, np.arange(P.n)] += 1.0
     B += aggregate(mu.probs, part)[:, None]

@@ -12,7 +12,7 @@ import numbers
 import numpy as np
 import scipy.sparse
 
-from .chain import ProbabilityVector, _gth, _independent_tail
+from .chain import ProbabilityVector, _gth, _independent_tail, _require_positive
 from .coarse import (Partition, coarse_matrix, coarse_pattern, disaggregate,
                      disaggregation_weights, make_partition)
 from .errors import NonConvergenceError, ReducibleMatrixError
@@ -53,17 +53,19 @@ class IadTrace:
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """What every IAD step on `part` shares, as it depends only on P and
-    the strata: their `coarse_pattern`, the start `tail` of the trailing
-    run of mutually non-adjacent strata that the coarse GTH censors at
-    once, and P's matrix for the step's products (in a solve's plan a
-    CSR copy of a sparse P: the same bits as CSC, and faster).
+class IadPlan:
+    """All that the IAD steps of P on some strata share (make_plan): P,
+    the strata `part` relabelled by _independent_last, their
+    `coarse_pattern`, the start `tail` of the trailing run of mutually
+    non-adjacent strata that the coarse GTH censors at once, and P's
+    matrix `mat` for the step's products (a CSR copy of a sparse P: the
+    same bits as CSC, and faster).
 
     `tail` is read off the pattern, not off the numbers of each C(nu):
     a C(nu) has at most the pattern's nonzeros (fewer only where a sum
     underflows or cancels), so the run stays mutually non-adjacent."""
 
+    P: "StochasticMatrix"
     part: Partition
     pattern: tuple
     tail: int
@@ -78,33 +80,22 @@ def _coarse_graph(pattern, n):
     return graph.reshape(n, n)
 
 
-def _plan(part, pattern, mat):
-    """The _Plan of steps on `part`, `pattern` its coarse_pattern and
-    `mat` P's matrix for the products."""
-    tail = _independent_tail(_coarse_graph(pattern, part.n))
-    return _Plan(part=part, pattern=pattern, tail=tail, mat=mat)
-
-
-def _solve_plan(P, part):
-    """The _Plan of a solve, on `part` relabelled by _independent_last,
-    with a sparse P copied to CSR, which thousands of steps repay. The
-    relabelled pattern is the given one with its keys renamed: each
-    coarse entry still sums the same terms in the same order."""
+def make_plan(P, part):
+    """The IadPlan of the IAD steps of P on `part`; a sparse P is copied
+    to CSR, which thousands of steps repay. The relabelled pattern is
+    coarse_pattern(P, part) with its keys renamed: each coarse entry
+    still sums the same terms in the same order."""
     pattern = coarse_pattern(P, part)
-    last = _independent_last(P, part, pattern)
+    last = _independent_last(part, pattern)
     if last is not part:
         n, cols = part.n, pattern[0]
         rename = np.empty(n, dtype=int)
         rename[part.assignment] = last.assignment
         keys = rename[pattern[1] // n] * n + last.assignment[cols]
         pattern = (cols, keys, pattern[2])
-    return _plan(last, pattern, P.mat.tocsr() if scipy.sparse.issparse(P.mat) else P.mat)
-
-
-def _require_positive(x, what):
-    """Refuse a vector with a zero, negative, NaN or infinite entry."""
-    if not (x.min() > 0.0 and x.max() < np.inf):
-        raise ValueError(f"{what} must be finite and strictly positive")
+    tail = _independent_tail(_coarse_graph(pattern, part.n))
+    mat = P.mat.tocsr() if scipy.sparse.issparse(P.mat) else P.mat
+    return IadPlan(P=P, part=last, pattern=pattern, tail=tail, mat=mat)
 
 
 def _max_rel_gap(x, ref):
@@ -115,48 +106,40 @@ def _max_rel_gap(x, ref):
     return gap.max()
 
 
-def coarse_steady_state(P, w, plan):
+def coarse_steady_state(plan, w):
     """The steady state z of one step's coarse chain C(nu), with D(nu)'s
-    entries w and iad_step's plan: coarse_matrix's new buffer, eliminated
+    entries w on the plan's strata: coarse_matrix's new buffer, eliminated
     in place by steady_state's GTH kernel as the F-ordered C(nu)^T that
     steady_state would copy, from the plan's tail start. A reducible
     coarse chain raises ReducibleMatrixError, which is how the known
     pathological aggregations surface."""
-    C = coarse_matrix(P, w, plan.part, plan.pattern).mat
+    C = coarse_matrix(plan.P, w, plan.part, plan.pattern).mat
     return _gth(C.T, plan.tail)
 
 
-def iad_step(P, part, mu_k, pattern=None):
-    """One coarse correction plus one smoothing application of P: the
-    weights w of D(mu_k) (one stratum-mass aggregate), the coarse steady
-    state z (coarse_steady_state), and P D(mu_k) z, normalized.
-
-    `pattern` is coarse_pattern(P, part), built here when not given, or
-    the plan iad_solve builds once per solve for the strata `part`, with
-    P as CSR; the step is the same either way, bit for bit. An iterate
-    with a zero, negative, NaN or infinite entry raises ValueError.
+def iad_step(plan, mu_k):
+    """One coarse correction plus one smoothing application of P, on a
+    make_plan plan: the weights w of D(mu_k) (one stratum-mass
+    aggregate), the coarse steady state z (coarse_steady_state), and
+    P D(mu_k) z, normalized. An iterate with a zero, negative, NaN or
+    infinite entry raises ValueError.
     """
-    if isinstance(pattern, _Plan):
-        plan = pattern
-    else:
-        plan = _plan(part, coarse_pattern(P, part) if pattern is None else pattern, P.mat)
     x = mu_k.probs
     _require_positive(x, "iad_step: iterate")
     w = disaggregation_weights(x, plan.part)
-    z = coarse_steady_state(P, w, plan)
+    z = coarse_steady_state(plan, w)
     out = plan.mat @ disaggregate(z, w, plan.part)
     return ProbabilityVector(probs=out / out.sum())
 
 
-def _independent_last(P, part, pattern=None):
+def _independent_last(part, pattern):
     """`part` with its strata relabelled so that a greedy maximal set of
     mutually non-adjacent ones, in the graph of the coarse chains C(nu)
-    (_coarse_graph of `pattern`, coarse_pattern(P, part), built here when
-    not given), takes the last labels, where the coarse GTH censors them
-    in one product; `part` itself when that set has fewer than _MIN_RUN
-    strata."""
+    (_coarse_graph of `pattern`, coarse_pattern(P, part)), takes the last
+    labels, where the coarse GTH censors them in one product; `part`
+    itself when that set has fewer than _MIN_RUN strata."""
     n = part.n
-    adj = _coarse_graph(coarse_pattern(P, part) if pattern is None else pattern, n)
+    adj = _coarse_graph(pattern, n)
     adj |= adj.T
     free = np.ones(n, dtype=bool)
     last = np.zeros(n, dtype=bool)
@@ -177,11 +160,13 @@ def iad_solve(P, part, mu0, cfg=None):
 
     Once per solve, it refuses a start with a zero, negative, NaN or
     infinite entry (ValueError) and a zero row of P, a transient state
-    (ReducibleMatrixError), and plans the steps: it relabels `part` by
-    _independent_last (the labels change no iterate beyond roundoff),
-    takes its coarse_pattern, the coarse GTH's tail start and, for a
-    sparse P, a CSR copy of P. Each step is then one iad_step on that
-    plan, and one more product with P for the residual.
+    (ReducibleMatrixError), and plans the steps with make_plan (its
+    relabelled strata change no iterate beyond roundoff). Each step is
+    then one iad_step on that plan, and one more product with P for the
+    residual. A converged entry below the smallest normal float, which
+    the relative criteria cannot vouch for, is a decayed transient
+    state, as of a transient class whose rows are not zero: it raises
+    ReducibleMatrixError.
 
     Raises NonConvergenceError carrying the trace when max_outer is
     exhausted, which some aggregation choices genuinely trigger.
@@ -192,11 +177,11 @@ def iad_solve(P, part, mu0, cfg=None):
     into = P.mat @ np.ones(P.n)  # row sums: the mass each state receives
     if not into.min() > 0.0:
         raise ReducibleMatrixError(f"iad_solve: transient state {into.argmin()}")
-    plan = _solve_plan(P, part)
+    plan = make_plan(P, part)
     trace = IadTrace(iterates=deque([mu0], maxlen=_TAIL))
     mu_old = mu0
     for _ in range(cfg.max_outer):
-        mu_new = iad_step(P, plan.part, mu_old, plan)
+        mu_new = iad_step(plan, mu_old)
         new = mu_new.probs
         change = _max_rel_gap(new, mu_old.probs)
         resid = _max_rel_gap(new, plan.mat @ new)
@@ -204,6 +189,9 @@ def iad_solve(P, part, mu0, cfg=None):
         trace.rel_changes.append(float(change))
         trace.residuals.append(float(resid))
         if change <= cfg.tau and resid <= cfg.tau:
+            if new.min() < np.finfo(float).tiny:
+                raise ReducibleMatrixError(f"iad_solve: transient state {new.argmin()} "
+                                           f"(converged to {new.min():.3g})")
             return mu_new, trace
         mu_old = mu_new
     raise NonConvergenceError(

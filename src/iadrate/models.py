@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse
 
-from .chain import ProbabilityVector, StochasticMatrix, validate
+from .chain import ProbabilityVector, StochasticMatrix, _require_positive, validate
 from .coarse import (load_partition, make_partition, singleton_partition,
                      trivial_partition)
 from .errors import PartitionError
@@ -111,8 +111,7 @@ def _metropolis(m, moves):
     the k moves, an offset per axis, takes state s to t with weight
     m(t) / (k (m(t) + m(s))), and the diagonal takes the rest. Stored as
     CSC with k + 1 nonzeros a column."""
-    if np.any(m <= 0):
-        raise ValueError("reversible chain: mu must be strictly positive")
+    _require_positive(m, "reversible chain: mu")
     n, axes = m.size, tuple(range(m.ndim))
     src = np.arange(n, dtype=_INDEX).reshape(m.shape)
     tgts, ws = [], []
@@ -263,6 +262,8 @@ def pathological_fixtures():
         matrix at the given (non-positive) initial vector is reducible.
     marek: irreducible aperiodic 4-state chain with P^T P reducible.
     periodic_shift: the 3-state cyclic shift.
+    transient_class: a transient class {2, 3}, whose rows are not zero,
+        feeding the closed class {0, 1}, under strata that split both.
     """
     fixtures = {}
 
@@ -291,6 +292,11 @@ def pathological_fixtures():
     part3 = make_partition(np.array([0, 0, 1]), 2)
     mu03 = ProbabilityVector(probs=np.full(3, 1 / 3))
     fixtures["periodic_shift"] = (P3, part3, mu03)
+
+    P4 = validate(np.array([[0.5, 0.5, 0.2, 0.0], [0.5, 0.5, 0.0, 0.2],
+                            [0.0, 0.0, 0.0, 0.8], [0.0, 0.0, 0.8, 0.0]]))
+    part4 = make_partition(np.array([0, 1, 1, 0]), 2)
+    fixtures["transient_class"] = (P4, part4, ProbabilityVector(probs=np.full(4, 1 / 4)))
 
     return fixtures
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,21 @@ def test_time_reversal_rejects_non_invariant():
     bad = chain.ProbabilityVector(probs=np.full(6, 1.0 / 6.0))
     with pytest.raises(InconsistentSteadyStateError):
         chain.time_reversal(P, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+def test_time_reversal_refuses_a_non_finite_or_non_positive_mu(bad):
+    # an x <= 0 screen passes NaN, which then gives a matrix with NaN
+    # entries, and inf, which reaches the invariance check; untyped errors
+    # and warnings are failures
+    P, _, _ = models.build_model({"alpha": 0.05})
+    m = chain.steady_state(P).probs.copy()
+    m[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="time_reversal: mu must be finite and strictly positive"):
+            chain.time_reversal(P, chain.ProbabilityVector(probs=m))
 
 
 def test_reversibility_detection():

@@ -417,6 +417,11 @@ _DIAGONAL = "model = chain2d\nN = {N}\nmove_set = diagonal\n"
     (_DIAGONAL.format(N=10), ["spectrum"], "P is reducible"),
     # an empty partition file, with no warning from numpy on the way
     ("", ["solve", "--partition", os.devnull], "has no data lines"),
+    # a transient class that feeds the closed one: the solve decays its
+    # mass to subnormal floats, the report's GTH meets a zero component
+    ("model = transient_class\n", ["solve"], "iad_solve: transient state 2"),
+    ("model = transient_class\n", ["report", "--k-list", "2"],
+     "steady_state: P is reducible (transient state)"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,

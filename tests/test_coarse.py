@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_coarse_projection_identities():
     assert np.max(np.abs(S @ Pi - Pi)) < 1e-10
     # S reproduces the steady state itself
     assert np.max(np.abs(S @ mu.probs - mu.probs)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+def test_coarse_projection_refuses_a_non_finite_or_non_positive_nu(bad):
+    # an x <= 0 screen let NaN through to a non-finite LU solution;
+    # untyped errors and warnings are failures
+    P, _, _ = models.build_model({"alpha": 0.05})
+    mu = chain.steady_state(P)
+    x = mu.probs.copy()
+    x[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="coarse_projection: nu must be finite and strictly positive"):
+            coarse.coarse_projection(P, mu, chain.ProbabilityVector(probs=x),
+                                     models.split1d(100, 57))
 
 
 def test_is_refinement():
@@ -272,7 +289,8 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
     w = coarse.disaggregation_weights(nu.probs, part)
     for Q in (dense, csc):
         assert np.max(np.abs(coarse.coarse_matrix(Q, w, part).mat - oracle)) <= 1e-14
-    gap = iad.iad_step(dense, part, nu).probs - iad.iad_step(csc, part, nu).probs
+    gap = (iad.iad_step(iad.make_plan(dense, part), nu).probs
+           - iad.iad_step(iad.make_plan(csc, part), nu).probs)
     assert np.max(np.abs(gap)) <= 1e-14
 
 

@@ -88,11 +88,27 @@ def test_transient_state_raises_on_every_partition(labels):
             iad.iad_solve(P, part, uniform_pv(3))
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+def test_a_transient_class_is_refused(labels):
+    # states 2 and 3 feed the closed class {0, 1} and receive from no state
+    # of it, and no row of P is zero. Strata that split both classes keep
+    # every coarse chain irreducible while the transient mass decays to
+    # subnormal floats, which the relative stopping rule cannot tell from
+    # converged; strata along the classes make the coarse chain reducible
+    P, _, mu0 = models.pathological_fixtures()["transient_class"]
+    match = ("steady_state: P is reducible" if labels == [0, 0, 1, 1]
+             else r"iad_solve: transient state 2 \(converged to")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReducibleMatrixError, match=match):
+            iad.iad_solve(P, coarse.make_partition(np.array(labels)), mu0)
+
+
 def test_iad_step_single_coarse_state_is_power_step():
     rng = np.random.default_rng(0)
     P = random_chain(rng, 8)
     m0 = uniform_pv(8)
-    out = iad.iad_step(P, coarse.trivial_partition(8), m0)
+    out = iad.iad_step(iad.make_plan(P, coarse.trivial_partition(8)), m0)
     assert np.allclose(out.probs, P.mat @ m0.probs, atol=1e-12)
 
 
@@ -101,7 +117,7 @@ def test_iad_step_singleton_partition_solves_in_one_step():
     P = random_chain(rng, 7)
     mu = chain.steady_state(P)
     m0 = chain.ProbabilityVector(probs=np.random.default_rng(2).dirichlet(np.ones(7)))
-    out = iad.iad_step(P, coarse.singleton_partition(7), m0)
+    out = iad.iad_step(iad.make_plan(P, coarse.singleton_partition(7)), m0)
     assert np.max(np.abs(out.probs - mu.probs)) < 1e-8
 
 
@@ -110,7 +126,7 @@ def test_iad_step_fixed_point():
     P = random_chain(rng, 9)
     mu = chain.steady_state(P)
     part = random_partition(rng, 9, 3)
-    out = iad.iad_step(P, part, mu)
+    out = iad.iad_step(iad.make_plan(P, part), mu)
     assert np.max(np.abs(out.probs - mu.probs)) < 1e-9
 
 
@@ -157,29 +173,29 @@ def test_iad_solve_marek_not_locally_convergent():
     # a solve run to its cap keeps every step's change and residual, but
     # only its last 64 iterates
     assert len(trace.iterates) == 64
-    pattern = coarse.coarse_pattern(P, part)
+    plan = iad.make_plan(P, part)
     for before, after in itertools.pairwise(trace.iterates):
-        assert np.array_equal(after.probs, iad.iad_step(P, part, before, pattern).probs)
+        assert np.array_equal(after.probs, iad.iad_step(plan, before).probs)
 
 
 def test_iterates_stay_positive_and_normalized(bench_1d):
     P, _ = bench_1d
     part = models.split1d(100, 20)
     mu_k = uniform_pv(100)
+    plan = iad.make_plan(P, part)
     for _ in range(300):
-        mu_k = iad.iad_step(P, part, mu_k)
+        mu_k = iad.iad_step(plan, mu_k)
         assert np.all(mu_k.probs > 0)
         assert abs(mu_k.probs.sum() - 1.0) < 1e-12
 
 
 def _full_history(P, part, mu0, steps):
-    """mu^0 .. mu^steps by stepping iad_step on the strata labelled as
-    iad_solve labels them: the history a trace drops."""
-    part = iad._independent_last(P, part)
-    pattern = coarse.coarse_pattern(P, part)
+    """mu^0 .. mu^steps by stepping iad_step on the plan iad_solve
+    makes: the history a trace drops."""
+    plan = iad.make_plan(P, part)
     iterates = [mu0]
     for _ in range(steps):
-        iterates.append(iad.iad_step(P, part, iterates[-1], pattern))
+        iterates.append(iad.iad_step(plan, iterates[-1]))
     return iterates
 
 
@@ -219,7 +235,7 @@ def test_error_recursion_is_exact_at_the_iterate():
     part = random_partition(rng, 10, 3)
     m0 = chain.ProbabilityVector(probs=mu.probs * (1 + 0.05 * rng.standard_normal(10)))
     m0 = chain.ProbabilityVector(probs=m0.probs / m0.probs.sum())
-    out = iad.iad_step(P, part, m0)
+    out = iad.iad_step(iad.make_plan(P, part), m0)
     Sk = coarse.coarse_projection(P, mu, m0, part) @ np.eye(10)
     Jk = deviation(P, mu) @ (np.eye(10) - Sk)
     lin = Jk @ (m0.probs - mu.probs)
@@ -281,7 +297,7 @@ def test_iad_solve_iterates_match_composed_public_steps(kind, csc, N, n, seed):
         P, _ = random_reversible_chain(rng, N, int(rng.integers(1, N)), 1e-12)
     elif kind in ("chain2d", "chain1d"):
         P, part = _local_chain(kind, N, n)
-        assert iad._independent_last(P, part) is not part
+        assert iad.make_plan(P, part).part is not part
     else:
         P, part, _ = models.pathological_fixtures()[kind]
     if kind in ("random", "reversible", "nearly_decomposable"):
@@ -296,7 +312,7 @@ def test_iad_solve_iterates_match_composed_public_steps(kind, csc, N, n, seed):
         trace = exc.trace
     # on the solve's labels the composed steps are the solve's, bit for
     # bit; on the given labels they differ at roundoff
-    labelled = iad._independent_last(P, part)
+    labelled = iad.make_plan(P, part).part
     for before, after in itertools.pairwise(trace.iterates):
         assert np.array_equal(after.probs, _composed_step(P, labelled, before))
         gap = after.probs - _composed_step(P, part, before)
@@ -329,7 +345,7 @@ def test_reducible_coarse_chains_raise_through_the_hoisted_step():
     a = models.grid2d(10, 2).assignment
     part = coarse.make_partition(np.concatenate([a, a + 4]), 8)
     relabel = np.array([4, 0, 1, 5, 6, 2, 3, 7])
-    assert np.array_equal(iad._independent_last(P, part).assignment,
+    assert np.array_equal(iad.make_plan(P, part).part.assignment,
                           relabel[part.assignment])
     with pytest.raises(ReducibleMatrixError):
         iad.iad_solve(P, part, uniform_pv(200))
@@ -345,7 +361,7 @@ def test_step_products_reproduce_P_times_x_bit_for_bit(csc, N, density, seed):
     P = chain.StochasticMatrix(mat=raw / raw.sum(axis=0))
     if csc:
         P = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
-    plan = iad._solve_plan(P, coarse.trivial_partition(N))
+    plan = iad.make_plan(P, coarse.trivial_partition(N))
     assert scipy.sparse.issparse(plan.mat) == csc
     for x in (rng.random(N), rng.dirichlet(np.ones(N))):
         assert np.array_equal(plan.mat @ x, P.mat @ x)
@@ -353,10 +369,11 @@ def test_step_products_reproduce_P_times_x_bit_for_bit(csc, N, density, seed):
 
 @pytest.mark.parametrize("max_outer", [1, 3, 12])
 def test_each_solve_plans_its_steps_once(monkeypatch, max_outer):
-    # the coarse pattern, the relabelling and the coarse GTH's tail start
+    # the plan, its coarse pattern, relabelling and coarse GTH tail start
     # depend only on P and the strata: one of each per solve, not per step
     P, part = _local_chain("chain1d", 40, 2)
-    assert iad._independent_last(P, part) is not part
+    assert iad.make_plan(P, part).part is not part
+    plans = count_calls(monkeypatch, iad.make_plan, iad)
     patterns = count_calls(monkeypatch, coarse.coarse_pattern, iad, coarse)
     relabels = count_calls(monkeypatch, iad._independent_last, iad)
     tails = count_calls(monkeypatch, chain._independent_tail, iad, chain)
@@ -366,7 +383,7 @@ def test_each_solve_plans_its_steps_once(monkeypatch, max_outer):
     except NonConvergenceError as exc:
         trace = exc.trace
     assert len(trace.rel_changes) == max_outer
-    assert len(patterns) == len(relabels) == len(tails) == 1
+    assert len(plans) == len(patterns) == len(relabels) == len(tails) == 1
 
 
 def test_coarse_gth_raises_through_the_plans_tail():
@@ -378,11 +395,11 @@ def test_coarse_gth_raises_through_the_plans_tail():
     one = models.reversible_chain_2d(models.boltzmann_2d(spec), spec).mat
     P = chain.StochasticMatrix(mat=scipy.sparse.block_diag((one, one), format="csc"))
     a = models.grid2d(10, 2).assignment
-    plan = iad._solve_plan(P, coarse.make_partition(np.concatenate([a, a + 4]), 8))
+    plan = iad.make_plan(P, coarse.make_partition(np.concatenate([a, a + 4]), 8))
     assert plan.tail == 4
     w = coarse.disaggregation_weights(np.full(200, 1 / 200), plan.part)
     with pytest.raises(ReducibleMatrixError, match="zero pivot at state 2"):
-        iad.coarse_steady_state(P, w, plan)
+        iad.coarse_steady_state(plan, w)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
@@ -400,7 +417,7 @@ def test_a_non_finite_or_non_positive_start_is_refused(bad):
         with pytest.raises(ValueError, match="mu0 must be finite and strictly positive"):
             iad.iad_solve(P, part, mu0)
         with pytest.raises(ValueError, match="iterate must be finite and strictly positive"):
-            iad.iad_step(P, part, mu0)
+            iad.iad_step(iad.make_plan(P, part), mu0)
 
 
 def test_each_step_aggregates_its_iterate_once(monkeypatch):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,22 @@ def test_reversible_chain_1d_uniform():
     P = models.reversible_chain_1d(mu)
     assert np.allclose(np.diag(P.dense()), 0.5)
     assert np.allclose(P.dense()[np.arange(8), (np.arange(8) + 1) % 8], 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+def test_reversible_chains_refuse_a_non_finite_or_non_positive_mu(bad):
+    # an x <= 0 screen let NaN and inf through to the Metropolis weights;
+    # untyped errors and warnings are failures
+    spec = replace(models.benchmark_chain_2d_spec(), N=4)
+    for build, n in ((models.reversible_chain_1d, 8),
+                     (lambda mu: models.reversible_chain_2d(mu, spec), 16)):
+        m = np.full(n, 1.0 / n)
+        m[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="reversible chain: mu must be finite and strictly positive"):
+                build(chain.ProbabilityVector(probs=m))
 
 
 def test_reversible_chain_1d_detailed_balance():
@@ -223,6 +240,11 @@ def test_pathological_fixtures_shapes():
     assert np.allclose(C.mat, [[1.0, 1.0], [0.0, 0.0]])
     P3, _, _ = fx["periodic_shift"]
     assert np.array_equal(P3.dense(), models.right_shift(3).dense())
+    # {2, 3} is a transient class: it feeds {0, 1} and receives from no state of it
+    P4, part4, mu04 = fx["transient_class"]
+    assert not P4.dense()[2:, :2].any() and P4.dense()[:2, 2:].any()
+    assert np.array_equal(part4.assignment, [0, 1, 1, 0])
+    assert np.array_equal(mu04.probs, np.full(4, 0.25))
 
 
 def test_load_config_and_build_model(tmp_path):
