@@ -61,13 +61,14 @@ def validate(P):
     """Check a matrix is column stochastic; clamp tiny negatives.
 
     Dense input is checked and kept dense, sparse input as canonical CSC.
-    A NaN or infinite entry fails its column's sum.
+    A NaN or infinite entry fails its column's sum; a matrix with no
+    states, or not square, raises DimensionError.
     """
     sparse = scipy.sparse.issparse(P)
     # a copy in StochasticMatrix's storage: the clamp writes to it
     P = StochasticMatrix(mat=P.copy() if sparse else np.array(P, dtype=float)).mat
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionError(f"validate: expected a square matrix, got {P.shape}")
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
+        raise DimensionError(f"validate: expected a nonempty square matrix, got {P.shape}")
     _check_stochastic(P)
     return StochasticMatrix(mat=P)
 

@@ -114,17 +114,17 @@ def coarse_pattern(P, part):
     return AP.indices, rows * part.n + part.assignment[AP.indices], AP.data
 
 
-def coarse_matrix(P, w, part, pattern=None):
+def coarse_matrix(w, part, pattern):
     """The validated n x n coarse chain C(nu) = A P D(nu), with D(nu)'s
-    entries w = disaggregation_weights(nu, part).
+    entries w = disaggregation_weights(nu, part) and `pattern` the
+    coarse_pattern(P, part) of A P's nonzeros on the same strata.
 
     C[i, a(j)] is the sum of (A P)_ij nu_j / (A nu)_{a(j)} over the
     nonzeros of A P, taken in one bincount; no N x n matrix is formed.
     validate's checks run on the bincount's own C-ordered buffer, in
     place, and raise validate's errors; the matrix holds that buffer.
-    `pattern` is `coarse_pattern(P, part)`, built here when not given.
     """
-    cols, keys, vals = coarse_pattern(P, part) if pattern is None else pattern
+    cols, keys, vals = pattern
     n = part.n
     C = np.bincount(keys, weights=vals * w[cols], minlength=n * n).reshape(n, n)
     _check_stochastic(C)

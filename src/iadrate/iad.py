@@ -54,8 +54,8 @@ class IadTrace:
 
 @dataclass(frozen=True)
 class IadPlan:
-    """All that the IAD steps of P on some strata share (make_plan): P,
-    the strata `part` relabelled by _independent_last, their
+    """All that the IAD steps of P on some strata share (make_plan): the
+    strata `part` relabelled by _independent_last, their
     `coarse_pattern`, the start `tail` of the trailing run of mutually
     non-adjacent strata that the coarse GTH censors at once, and P's
     matrix `mat` for the step's products (a CSR copy of a sparse P: the
@@ -65,7 +65,6 @@ class IadPlan:
     a C(nu) has at most the pattern's nonzeros (fewer only where a sum
     underflows or cancels), so the run stays mutually non-adjacent."""
 
-    P: "StochasticMatrix"
     part: Partition
     pattern: tuple
     tail: int
@@ -95,7 +94,7 @@ def make_plan(P, part):
         pattern = (cols, keys, pattern[2])
     tail = _independent_tail(_coarse_graph(pattern, part.n))
     mat = P.mat.tocsr() if scipy.sparse.issparse(P.mat) else P.mat
-    return IadPlan(P=P, part=last, pattern=pattern, tail=tail, mat=mat)
+    return IadPlan(part=last, pattern=pattern, tail=tail, mat=mat)
 
 
 def _max_rel_gap(x, ref):
@@ -113,7 +112,7 @@ def coarse_steady_state(plan, w):
     steady_state would copy, from the plan's tail start. A reducible
     coarse chain raises ReducibleMatrixError, which is how the known
     pathological aggregations surface."""
-    C = coarse_matrix(plan.P, w, plan.part, plan.pattern).mat
+    C = coarse_matrix(w, plan.part, plan.pattern).mat
     return _gth(C.T, plan.tail)
 
 

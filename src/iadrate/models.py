@@ -330,7 +330,8 @@ def _partition(text, n, side):
     """The partition of the file at path `text` written by
     coarse.save_partition, or of an inline `kind:key=val,...` spec such as
     `split1d:ell=57` or `trivial`, sized by the model: N is the grid side
-    `side` for the 2D kinds and the state count `n` otherwise."""
+    `side` for the 2D kinds and the state count `n` otherwise. A key
+    given twice raises PartitionError."""
     if os.path.exists(text):
         return load_partition(text)
     kind, _, rest = text.partition(":")
@@ -339,7 +340,10 @@ def _partition(text, n, side):
         key, eq, val = piece.partition("=")
         if not eq:
             raise PartitionError(f"partition {text!r}: expected key=val, got {piece!r}")
-        params[key.strip()] = val
+        key = key.strip()
+        if key in params:
+            raise PartitionError(f"partition {kind!r}: parameter {key!r} given twice")
+        params[key] = val
     if "N" in params:
         raise PartitionError("partition N is set by the model")
     if kind in _GRID_KINDS and side is None:

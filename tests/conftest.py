@@ -137,6 +137,20 @@ def disaggregation_matrix(nu, part):
     return D
 
 
+def coarse_chain(P, w, part):
+    """C(nu) = A P D(nu) from P's own coarse pattern on `part`, D(nu)'s
+    entries w = disaggregation_weights(nu, part): the coarse chain as
+    built without a plan."""
+    return coarse.coarse_matrix(w, part, coarse.coarse_pattern(P, part))
+
+
+def sorted_by_modulus(vals):
+    """Complex values ordered by modulus, then real and imaginary part."""
+    vals = np.asarray(vals, dtype=complex)
+    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
+    return vals[order]
+
+
 def count_calls(monkeypatch, fn, *owners):
     """Replace fn under its name in each owner module by a wrapper that
     records its calls; returns the list of records."""

@@ -12,21 +12,17 @@ import pytest
 
 from conftest import (
     aggregation_matrix,
+    coarse_chain,
     deviation,
     disaggregation_matrix,
     nested_partition_pair,
     random_chain,
     random_partition,
     random_reversible_chain,
+    sorted_by_modulus,
 )
 from iadrate import chain, coarse, diagnostics, iad, models
 from iadrate.errors import NonConvergenceError, ReducibleMatrixError
-
-
-def sorted_by_modulus(vals):
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-    return vals[order]
 
 
 def randomized_suite(count=20, seed=1234):
@@ -200,8 +196,7 @@ def test_criterion_10_pathology_detection():
     fx = models.pathological_fixtures()
     # (i) reducible coarse matrix surfaces as an error
     P1, part1, mu01 = fx["reducible_coarse"]
-    C = coarse.coarse_matrix(
-        P1, coarse.disaggregation_weights(mu01.probs, part1), part1)
+    C = coarse_chain(P1, coarse.disaggregation_weights(mu01.probs, part1), part1)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
     # (ii) P^T P reducible: lambda_2 == 1

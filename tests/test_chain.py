@@ -11,6 +11,7 @@ from conftest import (deviation, gth_reference, qr_null_vector, random_chain,
                       random_reversible_chain)
 from iadrate import chain, diagnostics, models
 from iadrate.errors import (
+    DimensionError,
     InconsistentSteadyStateError,
     NotStochasticError,
     ReducibleMatrixError,
@@ -34,6 +35,13 @@ def test_validate_rejects_non_finite(store, bad):
     with pytest.raises(NotStochasticError) as exc:
         chain.validate(store(np.array([[0.5, bad], [0.5, bad]])))
     assert exc.value.column == 1
+
+
+@pytest.mark.parametrize("store", [np.array, scipy.sparse.csc_array])
+def test_validate_refuses_a_matrix_with_no_states(store):
+    # numpy's reductions have no identity on an empty array
+    with pytest.raises(DimensionError, match=r"nonempty square matrix, got \(0, 0\)"):
+        chain.validate(store(np.zeros((0, 0))))
 
 
 def test_validate_sparse_input_becomes_canonical_csc():

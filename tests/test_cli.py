@@ -422,6 +422,9 @@ _DIAGONAL = "model = chain2d\nN = {N}\nmove_set = diagonal\n"
     ("model = transient_class\n", ["solve"], "iad_solve: transient state 2"),
     ("model = transient_class\n", ["report", "--k-list", "2"],
      "steady_state: P is reducible (transient state)"),
+    # a repeated parameter, like a repeated config key, is an error
+    ("", ["report", "--partition", "split1d:ell=57,ell=3"],
+     "partition 'split1d': parameter 'ell' given twice"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_1_with_message(tmp_path, capsys, cfg_text, argv,

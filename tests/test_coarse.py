@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     aggregation_matrix,
+    coarse_chain,
     disaggregation_matrix,
     nested_partition_pair,
     random_chain,
@@ -77,11 +78,11 @@ def test_coarse_matrix_stochastic_and_exact():
     P = random_chain(rng, 6)
     mu = chain.steady_state(P)
     part = coarse.singleton_partition(6)
-    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
+    C = coarse_chain(P, coarse.disaggregation_weights(mu.probs, part), part)
     assert np.allclose(C.mat, P.mat, atol=1e-14)
     # trivial partition gives the 1x1 chain
     one = coarse.trivial_partition(6)
-    C1 = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, one), one)
+    C1 = coarse_chain(P, coarse.disaggregation_weights(mu.probs, one), one)
     assert C1.mat.shape == (1, 1)
     assert C1.mat[0, 0] == pytest.approx(1.0)
 
@@ -92,7 +93,7 @@ def test_coarse_matrix_fixes_aggregated_mu():
     P = random_chain(rng, 10)
     mu = chain.steady_state(P)
     part = random_partition(rng, 10, 4)
-    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
+    C = coarse_chain(P, coarse.disaggregation_weights(mu.probs, part), part)
     amu = coarse.aggregate(mu.probs, part)
     assert np.max(np.abs(C.mat @ amu - amu)) < 1e-12
 
@@ -288,7 +289,7 @@ def test_coarse_matrix_and_step_agree_across_storage(kind, N, seed):
     csc = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.dense()))
     w = coarse.disaggregation_weights(nu.probs, part)
     for Q in (dense, csc):
-        assert np.max(np.abs(coarse.coarse_matrix(Q, w, part).mat - oracle)) <= 1e-14
+        assert np.max(np.abs(coarse_chain(Q, w, part).mat - oracle)) <= 1e-14
     gap = (iad.iad_step(iad.make_plan(dense, part), nu).probs
            - iad.iad_step(iad.make_plan(csc, part), nu).probs)
     assert np.max(np.abs(gap)) <= 1e-14
@@ -320,8 +321,8 @@ def test_coarse_matrix_checks_its_buffer_as_validate_checks_a_copy(defect):
         expected = chain.validate(numbers)
     except NotStochasticError as exc:
         with pytest.raises(NotStochasticError) as got:
-            coarse.coarse_matrix(P, w, part)
+            coarse_chain(P, w, part)
         assert str(got.value) == str(exc) and got.value.column == exc.column
     else:
         assert defect == "tiny_negative" and numbers.min() < 0
-        assert np.array_equal(coarse.coarse_matrix(P, w, part).mat, expected.mat)
+        assert np.array_equal(coarse_chain(P, w, part).mat, expected.mat)

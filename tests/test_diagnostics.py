@@ -18,6 +18,7 @@ from conftest import (
     random_chain,
     random_partition,
     random_reversible_chain,
+    sorted_by_modulus,
 )
 from iadrate import chain, coarse, diagnostics, linalg, models
 from iadrate.errors import (DimensionError, IadError,
@@ -25,12 +26,6 @@ from iadrate.errors import (DimensionError, IadError,
                             ReducibleMatrixError)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-
-
-def sorted_by_modulus(vals):
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-    return vals[order]
 
 
 def test_error_operator_single_coarse_state():

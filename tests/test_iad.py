@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coarse_chain,
     count_calls,
     deviation,
     qr_null_vector,
@@ -59,7 +60,7 @@ def test_coarse_steady_state_singleton():
 def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
     P, mu = bench_1d
     part = models.split1d(100, 57)
-    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu.probs, part), part)
+    C = coarse_chain(P, coarse.disaggregation_weights(mu.probs, part), part)
     z = chain.steady_state(C)
     # independent oracle: unit-sum kernel vector of I - C
     v = qr_null_vector(np.eye(2) - C.mat)
@@ -69,7 +70,7 @@ def test_coarse_steady_state_matches_null_vector_oracle(bench_1d):
 
 def test_coarse_steady_state_reducible_raises():
     P, part, mu0 = models.pathological_fixtures()["reducible_coarse"]
-    C = coarse.coarse_matrix(P, coarse.disaggregation_weights(mu0.probs, part), part)
+    C = coarse_chain(P, coarse.disaggregation_weights(mu0.probs, part), part)
     with pytest.raises(ReducibleMatrixError):
         chain.steady_state(C)
 
@@ -248,7 +249,7 @@ def _composed_step(P, part, nu):
     """One IAD step from the public functions, each building its own
     coarse pattern: the oracle for the solver's hoisted step."""
     w = coarse.disaggregation_weights(nu.probs, part)
-    z = chain.steady_state(coarse.coarse_matrix(P, w, part))
+    z = chain.steady_state(coarse_chain(P, w, part))
     out = P.mat @ coarse.disaggregate(z.probs, w, part)
     return out / out.sum()
 
@@ -266,6 +267,44 @@ def _local_chain(kind, N, n):
     P = models.reversible_chain_1d(models.boltzmann_1d(spec))
     strata = 8 + n % 13
     return P, models.uniform1d(spec.N, strata, n % (spec.N // strata + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["chain2d", "chain1d"]), st.booleans(), st.integers(2, 140),
+       st.integers(1, 140), st.integers(0, 10_000))
+def test_relabelled_pattern_sums_the_given_labels_terms(kind, dense, N, n, seed):
+    # make_plan renames the pattern's keys and keeps its terms: C(nu) from
+    # the plan's pattern is, bit for bit, C(nu) from a pattern built on
+    # the plan's strata and C(nu) on the given strata, permuted
+    P, part = _local_chain(kind, N, n)
+    if dense:
+        P = chain.StochasticMatrix(mat=P.dense())
+    plan = iad.make_plan(P, part)
+    assert plan.part is not part
+    x = np.random.default_rng(seed).random(P.n) + 0.01
+    nu = x / x.sum()
+    w = coarse.disaggregation_weights(nu, plan.part)
+    C = coarse.coarse_matrix(w, plan.part, plan.pattern).mat
+    assert np.array_equal(C, coarse_chain(P, w, plan.part).mat)
+    rename = np.empty(part.n, dtype=int)
+    rename[part.assignment] = plan.part.assignment
+    given_labels = coarse_chain(P, coarse.disaggregation_weights(nu, part), part)
+    assert np.array_equal(C[np.ix_(rename, rename)], given_labels.mat)
+
+
+@pytest.mark.parametrize("model, spec, steps, bound", [
+    ("chain1d", "split1d:ell=57", (3875, 3875), 2e-7),
+    ("chain2d", "grid2d:s=6", (1278, 1280), 1e-7),
+])
+def test_benchmark_solves_keep_their_steps_and_error(model, spec, steps, bound):
+    # the solves the benchmark times, from the uniform start at tau = 1e-9.
+    # The 1D one's 2 x 2 coarse GTH and CSR products call no BLAS, so its
+    # count is exact; the 2D one's coarse GTH takes a BLAS product, which
+    # may round differently with the thread count
+    P, mu, part = models.build_model({"model": model, "partition": spec})
+    est, trace = iad.iad_solve(P, part, uniform_pv(P.n), iad.IadConfig(tau=1e-9))
+    assert steps[0] <= len(trace.rel_changes) <= steps[1]
+    assert np.max(np.abs(est.probs - mu.probs) / mu.probs) < bound
 
 
 _KINDS = ["random", "reversible", "nearly_decomposable", "marek",
@@ -326,9 +365,8 @@ def test_reducible_coarse_chains_raise_through_the_hoisted_step():
     with pytest.raises(ValueError):
         iad.iad_solve(P, part, mu0)
     with pytest.raises(ReducibleMatrixError):
-        chain.steady_state(coarse.coarse_matrix(
-            P, coarse.disaggregation_weights(mu0.probs, part), part,
-            coarse.coarse_pattern(P, part)))
+        chain.steady_state(coarse_chain(
+            P, coarse.disaggregation_weights(mu0.probs, part), part))
     # two closed classes, one stratum each: every positive iterate gives
     # the reducible coarse chain I, and the solve raises at its first step
     P2, _ = random_reversible_chain(np.random.default_rng(6), 12, 5, 0.0)

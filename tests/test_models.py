@@ -7,6 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coarse_chain
 from iadrate import chain, cli, coarse, models
 from iadrate.errors import PartitionError
 
@@ -235,8 +236,7 @@ def test_pathological_fixtures_shapes():
     P1, part1, mu01 = fx["reducible_coarse"]
     chain.steady_state(P1)  # irreducible: raises ReducibleMatrixError otherwise
     assert np.allclose(mu01.probs, [0.5, 0.0, 0.5])
-    C = coarse.coarse_matrix(
-        P1, coarse.disaggregation_weights(mu01.probs, part1), part1)
+    C = coarse_chain(P1, coarse.disaggregation_weights(mu01.probs, part1), part1)
     assert np.allclose(C.mat, [[1.0, 1.0], [0.0, 0.0]])
     P3, _, _ = fx["periodic_shift"]
     assert np.array_equal(P3.dense(), models.right_shift(3).dense())
