@@ -102,61 +102,45 @@ def _check_stochastic(P):
             f"validate: column {j} sums to {sums[j]:.17g}", column=j)
 
 
-def _independent_tail(A):
-    """Start m of the longest trailing run of states m..n-1 that are
-    mutually non-adjacent in A (no entry either way between any two of
-    them), or n when the last two states are adjacent. State 0 is never
-    in the run."""
-    n = A.shape[0]
-    if n < 2 or A[n - 1, n - 2] or A[n - 2, n - 1]:
-        return n
-    nz = A != 0
-    nz.flat[::n + 1] = True  # the diagonal
-    # the last state each state reaches or is reached from, or itself
-    last = n - 1 - np.minimum(nz[:, ::-1].argmax(axis=1), nz[::-1].argmax(axis=0))
-    later = np.flatnonzero(last > np.arange(n))
-    return int(later[-1]) + 1 if later.size else 1
-
-
 def steady_state(P):
     """Steady state by Grassmann-Taksar-Heyman state reduction.
 
     Works on the row-stochastic transpose A = P^T and censors states out
     from last to first. The pivot of state k is the mass it sends to the
     states still kept, A[k, :k].sum(), so no step subtracts and every
-    component comes out to high relative accuracy.
-
-    A trailing run of mutually non-adjacent states, such as iad_solve
-    puts last in a coarse chain, goes first and at once: censoring one
-    of them changes no entry of the others, so their pivots are their
-    row sums over the kept states, one product updates the kept block,
-    and one product fills the run in at back-substitution. This
-    function finds the run with one scan of the nonzeros
-    (_independent_tail) and eliminates a copy of P^T; the IAD solve's
-    coarse_steady_state runs the same kernel, _gth, on its own buffer
-    from its IadPlan's tail. Diagonal entries are never read. The kept
-    states then go _GTH_BLOCK at a time. Within a block, each step first
-    brings its own row and column up to date with the block's earlier
-    steps, one product each, and updates only the block's square in
-    place; the states before the block then take its deferred update as
-    one matrix product. The first block (all of a chain with
-    n <= _GTH_BLOCK) has no states before it.
+    component comes out to high relative accuracy. It eliminates an
+    F-ordered copy of P^T by _gth's blocked path, with no trailing run:
+    only the IAD solve's coarse_steady_state takes one, from its
+    IadPlan's tail.
 
     A zero pivot (a closed class among the censored states) or a zero
     component (a transient state) raises ReducibleMatrixError; both are
     exact tests of irreducibility.
     """
     A = np.array(P.dense().T, dtype=float)
-    return ProbabilityVector(probs=_gth(A, _independent_tail(A)))
+    return ProbabilityVector(probs=_gth(A, A.shape[0]))
 
 
 def _gth(A, m):
     """The normalized steady state of the chain with row-stochastic
-    A = P^T, by steady_state's elimination, in place on A: states
-    m..n-1 are a trailing run of mutually non-adjacent ones, which it
-    censors at once (m = n for none). The results depend on A's memory
-    layout through the BLAS products; steady_state and the IAD step
-    both pass an F-ordered A."""
+    A = P^T, by steady_state's elimination, in place on A.
+
+    States m..n-1 (none for m = n) must be a trailing run of mutually
+    non-adjacent states, with no entry either way between any two of
+    them; make_plan's tail starts such a run. It goes first and at once:
+    censoring one of them changes no entry of the others, so their
+    pivots are their row sums over the kept states, one product updates
+    the kept block, and one product fills the run in at
+    back-substitution. Diagonal entries are never read. The kept states
+    then go _GTH_BLOCK at a time. Within a block, each step first brings
+    its own row and column up to date with the block's earlier steps,
+    one product each, and updates only the block's square in place; the
+    states before the block then take its deferred update as one matrix
+    product. The first block (all of a chain with n <= _GTH_BLOCK) has
+    no states before it.
+
+    The results depend on A's memory layout through the BLAS products;
+    steady_state and the IAD step both pass an F-ordered A."""
     n = A.shape[0]
     if m < n:
         row, col = A[m:, :m], A[:m, m:]

@@ -12,10 +12,10 @@ import numbers
 import numpy as np
 import scipy.sparse
 
-from .chain import ProbabilityVector, _gth, _independent_tail, _require_positive
+from .chain import ProbabilityVector, _gth, _require_positive
 from .coarse import (Partition, coarse_matrix, coarse_pattern, disaggregate,
                      disaggregation_weights, make_partition)
-from .errors import NonConvergenceError, ReducibleMatrixError
+from .errors import DimensionError, NonConvergenceError, ReducibleMatrixError
 
 from collections import deque
 from dataclasses import dataclass, field
@@ -57,13 +57,13 @@ class IadPlan:
     """All that the IAD steps of P on some strata share (make_plan): the
     strata `part` relabelled by _independent_last, their
     `coarse_pattern`, the start `tail` of the trailing run of mutually
-    non-adjacent strata that the coarse GTH censors at once, and P's
-    matrix `mat` for the step's products (a CSR copy of a sparse P: the
-    same bits as CSC, and faster).
+    non-adjacent strata that the coarse GTH censors at once (_gth), and
+    P's matrix `mat` for the step's products (a CSR copy of a sparse P:
+    the same bits as CSC, and faster).
 
-    `tail` is read off the pattern, not off the numbers of each C(nu):
-    a C(nu) has at most the pattern's nonzeros (fewer only where a sum
-    underflows or cancels), so the run stays mutually non-adjacent."""
+    `tail` is n less the size of the greedy set put last, n when none
+    is: a C(nu) has at most the pattern's nonzeros (fewer only where a
+    sum underflows or cancels), so the run stays mutually non-adjacent."""
 
     part: Partition
     pattern: tuple
@@ -71,30 +71,22 @@ class IadPlan:
     mat: "np.ndarray | scipy.sparse.csr_array"
 
 
-def _coarse_graph(pattern, n):
-    """The n x n nonzero pattern of the coarse chains C(nu): C[i, b] for
-    each key i n + b of coarse_pattern."""
-    graph = np.zeros(n * n, dtype=bool)
-    graph[pattern[1]] = True  # through .flat, 6x slower
-    return graph.reshape(n, n)
-
-
 def make_plan(P, part):
     """The IadPlan of the IAD steps of P on `part`; a sparse P is copied
-    to CSR, which thousands of steps repay. The relabelled pattern is
-    coarse_pattern(P, part) with its keys renamed: each coarse entry
-    still sums the same terms in the same order."""
+    to CSR, which thousands of steps repay. The one place that picks the
+    coarse GTH's run: the greedy set _independent_last puts last. The
+    relabelled pattern is coarse_pattern(P, part) with its keys renamed:
+    each coarse entry still sums the same terms in the same order."""
     pattern = coarse_pattern(P, part)
-    last = _independent_last(part, pattern)
-    if last is not part:
+    last, r = _independent_last(part, pattern)
+    if r:
         n, cols = part.n, pattern[0]
         rename = np.empty(n, dtype=int)
         rename[part.assignment] = last.assignment
         keys = rename[pattern[1] // n] * n + last.assignment[cols]
         pattern = (cols, keys, pattern[2])
-    tail = _independent_tail(_coarse_graph(pattern, part.n))
     mat = P.mat.tocsr() if scipy.sparse.issparse(P.mat) else P.mat
-    return IadPlan(part=last, pattern=pattern, tail=tail, mat=mat)
+    return IadPlan(part=last, pattern=pattern, tail=part.n - r, mat=mat)
 
 
 def _max_rel_gap(x, ref):
@@ -132,13 +124,15 @@ def iad_step(plan, mu_k):
 
 
 def _independent_last(part, pattern):
-    """`part` with its strata relabelled so that a greedy maximal set of
-    mutually non-adjacent ones, in the graph of the coarse chains C(nu)
-    (_coarse_graph of `pattern`, coarse_pattern(P, part)), takes the last
-    labels, where the coarse GTH censors them in one product; `part`
-    itself when that set has fewer than _MIN_RUN strata."""
+    """`part` relabelled so that a greedy maximal set of mutually
+    non-adjacent strata in the graph of the coarse chains C(nu) (C[i, b]
+    for each key i n + b of `pattern`) takes the last labels, and the
+    set's size r; (`part`, 0) when r < _MIN_RUN. The set is maximal, so
+    every other stratum touches it: no longer trailing run exists."""
     n = part.n
-    adj = _coarse_graph(pattern, n)
+    adj = np.zeros(n * n, dtype=bool)
+    adj[pattern[1]] = True  # through .flat, 6x slower
+    adj = adj.reshape(n, n)
     adj |= adj.T
     free = np.ones(n, dtype=bool)
     last = np.zeros(n, dtype=bool)
@@ -146,19 +140,21 @@ def _independent_last(part, pattern):
         if free[i]:
             last[i] = True
             free &= ~adj[i]
-    if np.count_nonzero(last) < _MIN_RUN:
-        return part
+    r = np.count_nonzero(last)
+    if r < _MIN_RUN:
+        return part, 0
     # the other strata first, then the set, each in label order
     rank = np.argsort(np.argsort(last, kind="stable"))
-    return make_partition(rank[part.assignment], n)
+    return make_partition(rank[part.assignment], n), r
 
 
 def iad_solve(P, part, mu0, cfg=None):
     """Iterate iad_step from mu0 until both relative criteria fall
     below cfg.tau; returns (steady state estimate, trace).
 
-    Once per solve, it refuses a start with a zero, negative, NaN or
-    infinite entry (ValueError) and a zero row of P, a transient state
+    Once per solve, it refuses a start of the wrong shape
+    (DimensionError), one with a zero, negative, NaN or infinite entry
+    (ValueError) and a zero row of P, a transient state
     (ReducibleMatrixError), and plans the steps with make_plan (its
     relabelled strata change no iterate beyond roundoff). Each step is
     then one iad_step on that plan, and one more product with P for the
@@ -172,6 +168,8 @@ def iad_solve(P, part, mu0, cfg=None):
     """
     if cfg is None:
         cfg = IadConfig()
+    if mu0.probs.shape != (P.n,):
+        raise DimensionError(f"iad_solve: mu0 has shape {mu0.probs.shape}, P {P.n} states")
     _require_positive(mu0.probs, "iad_solve: mu0")
     into = P.mat @ np.ones(P.n)  # row sums: the mass each state receives
     if not into.min() > 0.0:

@@ -97,7 +97,8 @@ def leading_eigs(A, k, symmetric=False, vectors=False):
     least one; else NotSymmetricError). Otherwise ARPACK iterates from a
     fixed start vector and returns every pair it converged, at least
     max(k, _ARPACK_MIN_K), each with ||A v - lambda v|| <= _RESIDUAL_TOL
-    max(1, |lambda|). Any solver failure raises EigenConvergenceError.
+    max(1, |lambda|). Any solver failure, and a NaN or infinite entry of
+    the materialized A, raises EigenConvergenceError.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
@@ -107,6 +108,8 @@ def leading_eigs(A, k, symmetric=False, vectors=False):
     if n >= ARPACK_MIN_N and k < n - 1:
         return _arpack_eigs(A, k, symmetric, vectors)
     M = np.asarray(A, dtype=float) if isinstance(A, np.ndarray) else A @ np.eye(n)
+    if not np.isfinite(M).all():  # eigh and eigvalsh return NaN for it silently
+        raise EigenConvergenceError("leading_eigs: A has a NaN or infinite entry")
     try:
         if not symmetric:
             vals = np.linalg.eigvals(M)

@@ -232,13 +232,13 @@ def test_steady_state_non_adjacent_tail_matches_oracle(kind, n, tail, seed):
     else:
         P, mu = random_reversible_chain(rng, n, int(rng.integers(1, n)), 1e-12,
                                         tail=tail)
-    # every other state has a move to or from the planted run, which is
-    # therefore the one steady_state takes at once
-    assert chain._independent_tail(P.dense().T) == n - tail
-    est = chain.steady_state(P).probs
-    assert _max_rel_err(est, gth_reference(P)) < 1e-12
-    if mu is not None:
-        assert _max_rel_err(est, mu.probs) < 1e-12
+    # the GTH kernel takes the planted run at once, as the coarse solve
+    # takes its plan's, and steady_state takes the blocked path
+    for est in (chain._gth(np.array(P.dense().T), n - tail),
+                chain.steady_state(P).probs):
+        assert _max_rel_err(est, gth_reference(P)) < 1e-12
+        if mu is not None:
+            assert _max_rel_err(est, mu.probs) < 1e-12
 
 
 @pytest.mark.parametrize("defect", ["absorbing", "transient"])
@@ -256,10 +256,11 @@ def test_steady_state_reducible_in_the_tail_raises(defect, n, tail, k):
         P[k, :] = 0.0
         P /= P.sum(axis=0)
         match = "transient state"
-    P = chain.StochasticMatrix(mat=P)
-    assert chain._independent_tail(P.dense().T) == n - tail
+    # the kernel from the planted run's start, and steady_state's blocked path
     with pytest.raises(ReducibleMatrixError, match=match):
-        chain.steady_state(P)
+        chain._gth(np.array(P.T), n - tail)
+    with pytest.raises(ReducibleMatrixError, match=match):
+        chain.steady_state(chain.StochasticMatrix(mat=P))
 
 
 def test_time_reversal_fixes_mu_and_is_stochastic():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import time
 import warnings
 
@@ -19,7 +20,7 @@ from conftest import (
     random_reversible_chain,
 )
 from iadrate import chain, coarse, iad, models
-from iadrate.errors import NonConvergenceError, ReducibleMatrixError
+from iadrate.errors import DimensionError, NonConvergenceError, ReducibleMatrixError
 
 
 def uniform_pv(n):
@@ -245,12 +246,15 @@ def test_error_recursion_is_exact_at_the_iterate():
     assert gap <= 1e-10 * err0
 
 
-def _composed_step(P, part, nu):
+def _composed_step(P, part, nu, tail=None):
     """One IAD step from the public functions, each building its own
-    coarse pattern: the oracle for the solver's hoisted step."""
+    coarse pattern, and the GTH kernel on a copy of C(nu)^T from `tail`
+    (part.n, no run, by default): the oracle for the solver's hoisted
+    step."""
     w = coarse.disaggregation_weights(nu.probs, part)
-    z = chain.steady_state(coarse_chain(P, w, part))
-    out = P.mat @ coarse.disaggregate(z.probs, w, part)
+    C = coarse_chain(P, w, part).mat
+    z = chain._gth(np.array(C.T), part.n if tail is None else tail)
+    out = P.mat @ coarse.disaggregate(z, w, part)
     return out / out.sum()
 
 
@@ -290,6 +294,39 @@ def test_relabelled_pattern_sums_the_given_labels_terms(kind, dense, N, n, seed)
     rename[part.assignment] = plan.part.assignment
     given_labels = coarse_chain(P, coarse.disaggregation_weights(nu, part), part)
     assert np.array_equal(C[np.ix_(rename, rename)], given_labels.mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["chain2d", "chain1d", "grid2d"]), st.booleans(),
+       st.integers(2, 140), st.integers(1, 140))
+@example(kind="grid2d", dense=False, N=1, n=0)
+@example(kind="grid2d", dense=True, N=4, n=0)
+def test_the_plans_run_is_non_adjacent_and_maximal(kind, dense, N, n):
+    # the plan's tail starts the coarse GTH's one-shot run: no key of the
+    # pattern joins two distinct strata of the run, and every stratum
+    # before it has a key to or from the run, so no longer run exists.
+    # grid2d is the benchmark's 2D chain under grid2d:s, s = 2 + N % 7:
+    # s = 3 (N = 1) is not relabelled, s = 6 (N = 4) is
+    if kind == "grid2d":
+        s = 2 + N % 7
+        P, _, part = models.build_model({"model": "chain2d",
+                                         "partition": f"grid2d:s={s}"})
+    else:
+        P, part = _local_chain(kind, N, n)
+    P = chain.StochasticMatrix(mat=P.dense() if dense
+                               else scipy.sparse.csc_array(P.mat))
+    plan = iad.make_plan(P, part)
+    m, tail = part.n, plan.tail
+    if kind == "grid2d":
+        assert (plan.part is part) == (s in (2, 3))
+    i, b = np.divmod(plan.pattern[1], m)
+    assert not np.any((i >= tail) & (b >= tail) & (i != b))
+    if plan.part is part:
+        assert tail == m
+    else:
+        touched = np.zeros(m, dtype=bool)
+        touched[i[b >= tail]] = touched[b[i >= tail]] = True
+        assert touched[:tail].all()
 
 
 @pytest.mark.parametrize("model, spec, steps, bound", [
@@ -349,11 +386,13 @@ def test_iad_solve_iterates_match_composed_public_steps(kind, csc, N, n, seed):
         _, trace = iad.iad_solve(P, part, mu0, iad.IadConfig(max_outer=4))
     except NonConvergenceError as exc:
         trace = exc.trace
-    # on the solve's labels the composed steps are the solve's, bit for
-    # bit; on the given labels they differ at roundoff
-    labelled = iad.make_plan(P, part).part
+    # on the solve's labels, from the plan's tail, the composed steps are
+    # the solve's, bit for bit; on the given labels, with no run, they
+    # differ at roundoff
+    plan = iad.make_plan(P, part)
     for before, after in itertools.pairwise(trace.iterates):
-        assert np.array_equal(after.probs, _composed_step(P, labelled, before))
+        assert np.array_equal(after.probs,
+                              _composed_step(P, plan.part, before, plan.tail))
         gap = after.probs - _composed_step(P, part, before)
         assert np.max(np.abs(gap)) <= 1e-14
 
@@ -407,21 +446,21 @@ def test_step_products_reproduce_P_times_x_bit_for_bit(csc, N, density, seed):
 
 @pytest.mark.parametrize("max_outer", [1, 3, 12])
 def test_each_solve_plans_its_steps_once(monkeypatch, max_outer):
-    # the plan, its coarse pattern, relabelling and coarse GTH tail start
-    # depend only on P and the strata: one of each per solve, not per step
+    # the plan, its coarse pattern and relabelling (with the coarse GTH's
+    # tail start) depend only on P and the strata: one of each per solve,
+    # not per step
     P, part = _local_chain("chain1d", 40, 2)
     assert iad.make_plan(P, part).part is not part
     plans = count_calls(monkeypatch, iad.make_plan, iad)
     patterns = count_calls(monkeypatch, coarse.coarse_pattern, iad, coarse)
     relabels = count_calls(monkeypatch, iad._independent_last, iad)
-    tails = count_calls(monkeypatch, chain._independent_tail, iad, chain)
     try:
         _, trace = iad.iad_solve(P, part, uniform_pv(P.n),
                                  iad.IadConfig(max_outer=max_outer))
     except NonConvergenceError as exc:
         trace = exc.trace
     assert len(trace.rel_changes) == max_outer
-    assert len(plans) == len(patterns) == len(relabels) == len(tails) == 1
+    assert len(plans) == len(patterns) == len(relabels) == 1
 
 
 def test_coarse_gth_raises_through_the_plans_tail():
@@ -456,6 +495,18 @@ def test_a_non_finite_or_non_positive_start_is_refused(bad):
             iad.iad_solve(P, part, mu0)
         with pytest.raises(ValueError, match="iterate must be finite and strictly positive"):
             iad.iad_step(iad.make_plan(P, part), mu0)
+
+
+@pytest.mark.parametrize("shape", [(99,), (101,), (100, 1)])
+def test_a_start_of_the_wrong_shape_is_refused(shape):
+    # was PartitionError from the first aggregate for a wrong length, and
+    # numpy's bare ValueError for a column
+    P, _, part = models.build_model({"model": "chain1d",
+                                     "partition": "split1d:ell=57"})
+    mu0 = chain.ProbabilityVector(probs=np.full(shape, 1.0 / 100))
+    with pytest.raises(DimensionError,
+                       match=rf"mu0 has shape {re.escape(str(shape))}, P 100 states"):
+        iad.iad_solve(P, part, mu0)
 
 
 def test_each_step_aggregates_its_iterate_once(monkeypatch):

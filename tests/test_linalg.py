@@ -89,6 +89,23 @@ def test_leading_eigs_lapack_failure_is_typed(monkeypatch, solver, symmetric,
         linalg.leading_eigs(np.eye(3), 1, symmetric=symmetric, vectors=vectors)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("symmetric, vectors", [(False, False), (True, True),
+                                                (True, False)])
+def test_leading_eigs_refuses_a_non_finite_entry(bad, symmetric, vectors):
+    # eigh and eigvalsh would return NaN eigenvalues, unsorted, with no error
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(EigenConvergenceError, match="NaN or infinite"):
+        linalg.leading_eigs(M, 1, symmetric=symmetric, vectors=vectors)
+    # the same check on the matrix an operator materializes into, where
+    # inf times the identity's zeros is NaN
+    op = linalg.block_operator(4, lambda X: M @ X)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(EigenConvergenceError, match="NaN or infinite"):
+        linalg.leading_eigs(op, 1, symmetric=symmetric, vectors=vectors)
+
+
 @pytest.mark.parametrize("n", [50, linalg.ARPACK_MIN_N + 50])
 def test_leading_eigs_vectors_only_for_symmetric(n):
     # LAPACK (below the crossover) and ARPACK (above) both refuse
