@@ -62,13 +62,17 @@ def trivial_partition(N):
 
 def aggregate(nu, part):
     """Sum the mass of nu over each coarse state; an (N, m) block is
-    summed column by column, in the same single bincount."""
+    summed column by column, in the same single bincount, and an (N, 1)
+    block, an ARPACK product's, as the vector it holds."""
     nu = np.asarray(nu, dtype=float)
     if nu.shape[0] != part.fine_n:
         raise PartitionError("aggregate: vector length does not match partition")
     if nu.ndim == 1:
         return np.bincount(part.assignment, weights=nu, minlength=part.n)
     m = nu.shape[1]
+    if m == 1:
+        return np.bincount(part.assignment, weights=nu[:, 0],
+                           minlength=part.n)[:, None]
     keys = (part.assignment[:, None] * m + np.arange(m)).ravel()
     out = np.bincount(keys, weights=nu.ravel(), minlength=part.n * m)
     return out.reshape(part.n, m)

@@ -82,22 +82,23 @@ class ChainRates:
 
     def _scaled_resolvent(self, composed):
         """Rs = diag(1/sqrt(mu)) R diag(sqrt(mu)), R the resolvent of P, or
-        of P* P when composed, built on first use as an operator on the
-        sparse LU factor and materialized below linalg.ARPACK_MIN_N (80 KB
-        at N = 100). Rs is symmetric when R is self-adjoint in l2(1/mu),
-        as for a reversible P and for P* P."""
+        of P* P when composed, built on first use as a plain function on
+        (n, k) blocks over the sparse LU factor (linalg.resolvent), which
+        each eigensolve wraps in its one block_operator, and materialized
+        below linalg.ARPACK_MIN_N (80 KB at N = 100). Rs is symmetric
+        when R is self-adjoint in l2(1/mu), as for a reversible P and for
+        P* P."""
         if composed not in self._Rs:
             Q = pstar_p(self.P, self.mu) if composed else self.P
             if composed and not self._irreducible_pstar_p(Q):
                 raise ReducibleMatrixError(
                     "norm_bound: P* P is reducible (lambda_2 = 1); the "
                     "non-reversible norm bound is undefined")
-            R = linalg.resolvent(Q.mat, self.mu.probs)
+            r = linalg.resolvent(Q.mat, self.mu.probs)
             smc = np.sqrt(self.mu.probs)[:, None]
-            Rs = linalg.block_operator(self.P.n, lambda X: (R @ (smc * X)) / smc)
-            if self.P.n < linalg.ARPACK_MIN_N:
-                Rs = Rs @ np.eye(self.P.n)
-            self._Rs[composed] = Rs
+            rs = lambda X: r(smc * X) / smc
+            self._Rs[composed] = (rs(np.eye(self.P.n))
+                                  if self.P.n < linalg.ARPACK_MIN_N else rs)
         return self._Rs[composed]
 
     def pairs(self, k):
@@ -126,8 +127,8 @@ class ChainRates:
         """
         if not (self.reversible and self.P.n >= linalg.ARPACK_MIN_N):
             return None
-        eig = linalg.leading_eigs(self._scaled_resolvent(False), k - 1,
-                                  symmetric=True, vectors=True)
+        Rs = linalg.block_operator(self.P.n, self._scaled_resolvent(False))
+        eig = linalg.leading_eigs(Rs, k - 1, symmetric=True, vectors=True)
         p = 1.0 - 1.0 / eig.lambdas
         if not p.min() > max(_DROP_TOL, self.floor):
             return None
@@ -186,7 +187,7 @@ class ChainRates:
                     # smaller M
                     M = 0.5 * (M + M.T)
             else:
-                M = linalg.block_operator(self.P.n, lambda X: E(Rs @ E(X)))
+                M = linalg.block_operator(self.P.n, lambda X: E(Rs(E(X))))
             lam = linalg.leading_eigs(M, 1, symmetric=symmetric).lambdas
             memo[composed] = lam[np.abs(lam) > _DROP_TOL * np.abs(lam).max()]
         return memo[composed]

@@ -4,7 +4,8 @@ Operators are `scipy.sparse.linalg.LinearOperator`s that act on (n, m)
 blocks. `leading_eigs` is the package's one eigensolver: it decides
 whether eigenvalues come from LAPACK on the materialized matrix or from
 ARPACK on the operator. Besides it: the resolvent of a stochastic
-matrix as one sparse LU, and `lu_solve` for small dense systems.
+matrix as a block function on one sparse LU, and `lu_solve` for small
+dense systems.
 
 `scipy.sparse.linalg` is imported in the functions that use it: it loads
 `scipy.linalg` and scipy's own OpenBLAS, which a solve never calls, so
@@ -97,8 +98,12 @@ def leading_eigs(A, k, symmetric=False, vectors=False):
     least one; else NotSymmetricError). Otherwise ARPACK iterates from a
     fixed start vector and returns every pair it converged, at least
     max(k, _ARPACK_MIN_K), each with ||A v - lambda v|| <= _RESIDUAL_TOL
-    max(1, |lambda|). Any solver failure, and a NaN or infinite entry of
-    the materialized A, raises EigenConvergenceError.
+    max(1, |lambda|). eigsh stops at the relative tolerance
+    _RESIDUAL_TOL / 100, where a symmetric eigenvalue is already exact to
+    ||r||^2 / gap; eigs iterates to machine precision (tol = 0), a
+    nonsymmetric eigenvalue's error being linear in ||r||. Any solver
+    failure, a NaN residual, and a NaN or infinite entry of the
+    materialized A raise EigenConvergenceError.
     """
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"leading_eigs: A must be square, got {A.shape}")
@@ -136,8 +141,9 @@ def _arpack_eigs(A, k, symmetric, vectors):
     def run(ncv):
         opts = dict(k=want, v0=v0, ncv=ncv)
         if symmetric:
-            return scipy.sparse.linalg.eigsh(A, which="LA", **opts)
-        return scipy.sparse.linalg.eigs(A, which="LM", **opts)
+            return scipy.sparse.linalg.eigsh(A, which="LA", tol=_RESIDUAL_TOL / 100,
+                                             **opts)
+        return scipy.sparse.linalg.eigs(A, which="LM", tol=0, **opts)
 
     ncv = min(n, max(2 * want + 1, 20))
     try:
@@ -159,7 +165,7 @@ def _arpack_eigs(A, k, symmetric, vectors):
     AV = A @ V.real if symmetric else A @ V.real + 1j * (A @ V.imag)
     res = np.linalg.norm(AV - V * vals, axis=0)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.any(res > _RESIDUAL_TOL * scale):
+    if not np.all(res <= _RESIDUAL_TOL * scale):  # a NaN residual fails too
         raise EigenConvergenceError(
             f"leading_eigs: ARPACK eigenpair residual {np.max(res):.3g} "
             f"exceeds {_RESIDUAL_TOL:g} x {scale:.6g}"
@@ -168,8 +174,12 @@ def _arpack_eigs(A, k, symmetric, vectors):
 
 
 def resolvent(Q, m):
-    """(I - Q + m 1^T)^{-1} as a LinearOperator, for a column-stochastic
-    Q (array or sparse) with Q m = m and 1^T m = 1.
+    """(I - Q + m 1^T)^{-1} as a function on (n, k) blocks of columns (a
+    vector goes in as one column), for a column-stochastic Q (array or
+    sparse) with Q m = m and 1^T m = 1. Callers compose it with their own
+    scalings and projections under one block_operator per eigensolve:
+    each LinearOperator layer costs a reshape and a dispatch on every
+    ARPACK product.
 
     Sparse LU factors B = I - Q + e_r e_r^T once, r the largest entry of
     m; B is nonsingular when Q is irreducible, which its callers establish.
@@ -200,5 +210,5 @@ def resolvent(Q, m):
         Y = lu.solve(X - mc * c)
         return Y + mc * (c - Y.sum(axis=0))
 
-    return block_operator(n, apply)
+    return apply
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -520,6 +521,53 @@ def test_table4_reports_read_one_symmetric_spectrum(bench_2d, monkeypatch):
         assert rep.rho_hatP == pytest.approx(rho_hat, abs=1e-8)
         assert rep.rho_hatP == rep.sqrt_lambda2
     assert diagnostics.ChainRates(P, mu).rho_J(coarse.singleton_partition(P.n)) == 0.0
+
+
+@pytest.mark.parametrize("part, most", [
+    pytest.param(models.grid2d(50, 6), 75, id="grid2d:s=6"),
+    pytest.param(models.stripes2d(50, 3), 62, id="stripes2d:s=3")])
+def test_table4_report_arpack_products(bench_2d, part, most, monkeypatch):
+    # the two eigsh runs of a table-4 report, on Rs and on M, stop at the
+    # residual leading_eigs verifies: at machine precision they take 97
+    # and 83 products. The residual check's block product is not eigsh's
+    # and is not counted
+    P, mu = bench_2d
+    real, products = scipy.sparse.linalg.eigsh, []
+
+    def counting(A, *args, **kwargs):
+        def matvec(x):
+            products.append(1)
+            return A @ x
+        return real(scipy.sparse.linalg.LinearOperator(
+            A.shape, matvec=matvec, dtype=float), *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    diagnostics.full_report(P, part, [2, 3], mu)
+    assert 0 < len(products) <= most
+
+
+@pytest.mark.parametrize("model, N, partition", [
+    ("chain2d", 15, "grid2d:s=3"), ("chain2d", 15, "grid2d:s=5"),
+    ("chain2d", 15, "stripes2d:s=3"), ("chain1d", 210, "split1d:ell=105")])
+def test_arpack_tolerance_costs_no_accuracy_on_reversible_chains(model, N, partition):
+    # just above ARPACK_MIN_N, eigsh's stopping tolerance leaves a
+    # reversible chain's rates at the LAPACK branch's to roundoff
+    P, mu, part = models.build_model(
+        {"model": model, "N": str(N), "partition": partition})
+    assert P.n >= linalg.ARPACK_MIN_N
+
+    def rates():
+        rep = diagnostics.full_report(P, part, [2, 3], mu)
+        assert rep.reversible
+        return (np.array([rep.rho_J, rep.sqrt_lambda2]),
+                np.array([rep.angle_bounds[k][0] for k in (2, 3)]))
+
+    arpack = rates()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ARPACK_MIN_N", P.n + 1)
+        dense = rates()
+    assert np.max(np.abs(arpack[0] - dense[0])) <= 1e-12
+    assert np.max(np.abs(arpack[1] - dense[1])) <= 1e-10
 
 
 def _lazy_cycle():

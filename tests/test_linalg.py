@@ -158,14 +158,29 @@ def test_leading_eigs_arpack_branch(symmetric):
         assert np.allclose(got.lambdas[:3], expect, atol=1e-12)
 
 
-@pytest.mark.parametrize("solver", ["eigs", "eigsh"])
-def test_leading_eigs_rejects_an_arpack_pair_with_a_large_residual(monkeypatch, solver):
-    # an eigenvalue off by 1e-6 relative is caught by the residual check
+def _off(vals):
+    return vals * (1.0 + 1e-6)
+
+
+def _nan(vals):
+    return np.where(np.arange(len(vals)) == 0, np.nan, vals)
+
+
+@pytest.mark.parametrize("solver, fault", [
+    pytest.param("eigs", _off, id="eigs"),
+    pytest.param("eigsh", _off, id="eigsh"),
+    pytest.param("eigs", _nan, id="eigs-nan"),
+    pytest.param("eigsh", _nan, id="eigsh-nan"),
+])
+def test_leading_eigs_rejects_an_arpack_pair_with_a_large_residual(
+        monkeypatch, solver, fault):
+    # an eigenvalue off by 1e-6 relative, or a NaN one, whose residual is
+    # NaN and compares False with any bound, is caught by the residual check
     real = getattr(scipy.sparse.linalg, solver)
 
     def off(*args, **kwargs):
         vals, vecs = real(*args, **kwargs)
-        return vals * (1.0 + 1e-6), vecs
+        return fault(vals), vecs
 
     monkeypatch.setattr(scipy.sparse.linalg, solver, off)
     d = np.linspace(0.0, 1.0, linalg.ARPACK_MIN_N + 50)
@@ -180,7 +195,7 @@ def test_resolvent_matches_dense_inverse():
         m = chain.steady_state(P).probs
         I = np.eye(P.n)
         expect = np.linalg.inv(I - P.dense() + np.outer(m, np.ones(P.n)))
-        got = linalg.resolvent(P.mat, m) @ I
+        got = linalg.resolvent(P.mat, m)(I)
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
     # P* P = I for a cyclic shift: I - Q + m 1^T is singular
     with pytest.raises(SingularMatrixError):
