@@ -1,7 +1,6 @@
 """Partitions of the fine space and the coarse operators built on them:
 aggregation A, disaggregation D(nu), coarse matrix C(nu) = A P D(nu),
-the complement of the orthogonal projection Pi(nu) = D(nu) A, and the
-oblique coarse projection S(nu) that governs the coarse-correction error.
+and the complement of the orthogonal projection Pi(nu) = D(nu) A.
 """
 
 import warnings
@@ -10,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from . import linalg
-from .chain import StochasticMatrix, _check_stochastic, _require_positive
+from .chain import StochasticMatrix, _check_stochastic
 from .errors import PartitionError, ZeroMassStratumError
 
 
@@ -143,30 +141,6 @@ def complement(nu, part):
     a = part.assignment
     u = np.sqrt(disaggregation_weights(nu, part))[:, None]
     return lambda X: X - u * aggregate(u * X, part)[a]
-
-
-def coarse_projection(P, mu, nu, part):
-    """The oblique projection S(nu) on rg(D(nu)) along the fine dynamics,
-    as a LinearOperator.
-
-    S(nu) = D(nu) [B D(nu)]^{-1} B with the n x N matrix
-    B = A - A P + (A mu) 1^T, formed dense as -A P plus 1 at (a(j), j)
-    plus A mu in every column; no N x N matrix is formed. The inner n x n
-    matrix is taken from the same B: S is then idempotent to roundoff,
-    which an inner matrix built separately (I - C(nu) + (A mu) 1^T) is
-    not when the coarse chain is nearly decomposable.
-    """
-    nu = nu.probs
-    _require_positive(nu, "coarse_projection: nu")
-    B = -_aggregated(P, part).toarray()
-    B[part.assignment, np.arange(P.n)] += 1.0
-    B += aggregate(mu.probs, part)[:, None]
-    w = disaggregation_weights(nu, part)
-    # B D(nu) by aggregation, not BLAS: on two OpenBLAS threads the
-    # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
-    F = linalg.lu_solve(aggregate((B * w).T, part).T, B)
-    a, wc = part.assignment, w[:, None]
-    return linalg.block_operator(P.n, lambda X: wc * (F @ X)[a])
 
 
 def is_refinement(refined, coarser):

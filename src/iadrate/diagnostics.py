@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chain import is_irreducible, is_reversible, pstar_p, pstar_p_spectrum, steady_state
-from .coarse import (coarse_projection, complement, is_refinement,
-                     trivial_partition)
+from .chain import (_require_positive, is_irreducible, is_reversible, pstar_p,
+                    pstar_p_spectrum, steady_state)
+from .coarse import (aggregate, coarse_pattern, complement,
+                     disaggregation_weights, is_refinement, trivial_partition)
 from .errors import PartitionError, ReducibleMatrixError, RefinementError
 
 # Eigenvalues of K below this times its largest modulus count as zero.
@@ -35,9 +36,29 @@ class RateReport:
 def error_operator(P, mu, part):
     """J(mu) = (P - mu 1^T)(I - S(mu)), the linearization of one solver
     step around the steady state, as a LinearOperator: P (I - S(mu)), as
-    1^T S(nu) = 1^T. With one stratum S(mu) = mu 1^T and J = P - mu 1^T."""
-    S = coarse_projection(P, mu, mu, part)
-    return linalg.block_operator(P.n, lambda X: P.mat @ (X - S @ X))
+    1^T S(mu) = 1^T. With one stratum S(mu) = mu 1^T and J = P - mu 1^T.
+
+    S(mu) is the oblique projection on rg(D(mu)) along the fine dynamics,
+    S(mu) = D(mu) [B D(mu)]^{-1} B with the n x N matrix
+    B = A - A P + (A mu) 1^T, formed dense as -A P plus 1 at (a(j), j)
+    plus A mu in every column; no N x N matrix is formed. The inner n x n
+    matrix is taken from the same B: S is then idempotent to roundoff,
+    which an inner matrix built separately (I - C(mu) + (A mu) 1^T) is
+    not when the coarse chain is nearly decomposable.
+    """
+    m = mu.probs
+    _require_positive(m, "error_operator: mu")
+    cols, keys, vals = coarse_pattern(P, part)
+    B = np.zeros((part.n, P.n))
+    B[keys // part.n, cols] = -vals  # each entry gains a positive term below
+    B[part.assignment, np.arange(P.n)] += 1.0
+    B += aggregate(m, part)[:, None]
+    w = disaggregation_weights(m, part)
+    # B D(mu) by aggregation, not BLAS: on two OpenBLAS threads the
+    # 36 x 2500 by 2500 x 36 product took 60 ms, on one 0.2 ms
+    F = linalg.lu_solve(aggregate((B * w).T, part).T, B)
+    a, wc = part.assignment, w[:, None]
+    return linalg.block_operator(P.n, lambda X: P.mat @ (X - wc * (F @ X)[a]))
 
 
 def rho_J_direct(J):

@@ -137,6 +137,16 @@ def disaggregation_matrix(nu, part):
     return D
 
 
+def oblique_projection(P, mu, nu, part):
+    """S(nu) = D (B D)^{-1} B as an N x N dense matrix, D = D(nu) and
+    B = A - A P + (A mu) 1^T from the dense A: the oblique projection on
+    rg(D(nu)) along the fine dynamics. At nu = mu it is the S(mu) inside
+    J(mu) = P (I - S(mu)); at an iterate nu it propagates that step's error."""
+    A, D = aggregation_matrix(part), disaggregation_matrix(nu.probs, part)
+    B = A - A @ P.dense() + np.outer(A @ mu.probs, np.ones(part.fine_n))
+    return D @ np.linalg.solve(B @ D, B)
+
+
 def coarse_chain(P, w, part):
     """C(nu) = A P D(nu) from P's own coarse pattern on `part`, D(nu)'s
     entries w = disaggregation_weights(nu, part): the coarse chain as

@@ -16,6 +16,7 @@ from conftest import (
     deviation,
     disaggregation_matrix,
     nested_partition_pair,
+    oblique_projection,
     random_chain,
     random_partition,
     random_reversible_chain,
@@ -141,7 +142,7 @@ def test_criterion_07_operator_identities():
         A = aggregation_matrix(part)
         D = disaggregation_matrix(mu.probs, part)
         Pi = D @ A
-        S = coarse.coarse_projection(P, mu, mu, part) @ I
+        S = oblique_projection(P, mu, mu, part)
         J = diagnostics.error_operator(P, mu, part) @ I
         hat = deviation(P, mu) @ I
         w = 1.0 / mu.probs

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     count_calls,
     deviation,
     disaggregation_matrix,
+    oblique_projection,
     random_chain,
     random_partition,
     random_reversible_chain,
@@ -35,6 +37,32 @@ def test_error_operator_single_coarse_state():
     mu = chain.steady_state(P)
     J = diagnostics.error_operator(P, mu, coarse.trivial_partition(8)) @ np.eye(8)
     assert np.allclose(J, deviation(P, mu) @ np.eye(8), atol=1e-12)
+
+
+def test_error_operator_is_one_block_operator(monkeypatch):
+    # J applies S(mu)'s n x N factor itself, under one LinearOperator
+    rng = np.random.default_rng(2)
+    P = random_chain(rng, 9)
+    mu = chain.steady_state(P)
+    part = random_partition(rng, 9, 3)
+    calls = count_calls(monkeypatch, linalg.block_operator, linalg)
+    diagnostics.error_operator(P, mu, part)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+def test_error_operator_refuses_a_non_finite_or_non_positive_mu(bad):
+    # an x <= 0 screen let NaN through to a non-finite LU solution;
+    # untyped errors and warnings are failures
+    P, _, _ = models.build_model({"alpha": 0.05})
+    x = chain.steady_state(P).probs.copy()
+    x[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="error_operator: mu must be finite and strictly positive"):
+            diagnostics.error_operator(P, chain.ProbabilityVector(probs=x),
+                                       models.split1d(100, 57))
 
 
 def test_error_operator_singleton_partition_is_zero():
@@ -662,16 +690,13 @@ def test_reversible_rho_hatP_is_sqrt_lambda2(N, kind, seed):
 def test_error_operator_drops_the_rank_one_term(N, kind, csc, seed):
     # 1^T B = 1^T and 1^T D(nu) = 1^T give 1^T S(nu) = 1^T, so
     # mu 1^T (I - S(mu)) = 0: J = P (I - S(mu)) is (P - mu 1^T)(I - S(mu)),
-    # here with S(mu) = D (B D)^{-1} B from the dense A, D(mu) and
-    # B = A - A P + (A mu) 1^T
+    # here with the dense oracle S(mu) = D (B D)^{-1} B
     rng = np.random.default_rng(seed)
     P, mu = _chain_of_kind(rng, N, kind)
     if csc:
         P = chain.StochasticMatrix(mat=scipy.sparse.csc_array(P.mat))
     part = random_partition(rng, N, int(rng.integers(1, N + 1)))
-    A, D = aggregation_matrix(part), disaggregation_matrix(mu.probs, part)
-    B = A - A @ P.dense() + np.outer(A @ mu.probs, np.ones(N))
-    oracle = deviation(P, mu) @ (np.eye(N) - D @ np.linalg.solve(B @ D, B))
+    oracle = deviation(P, mu) @ (np.eye(N) - oblique_projection(P, mu, mu, part))
     J = diagnostics.error_operator(P, mu, part) @ np.eye(N)
     assert np.max(np.abs(J - oracle)) <= 1e-12
 

@@ -14,6 +14,7 @@ from conftest import (
     coarse_chain,
     count_calls,
     deviation,
+    oblique_projection,
     qr_null_vector,
     random_chain,
     random_partition,
@@ -238,7 +239,7 @@ def test_error_recursion_is_exact_at_the_iterate():
     m0 = chain.ProbabilityVector(probs=mu.probs * (1 + 0.05 * rng.standard_normal(10)))
     m0 = chain.ProbabilityVector(probs=m0.probs / m0.probs.sum())
     out = iad.iad_step(iad.make_plan(P, part), m0)
-    Sk = coarse.coarse_projection(P, mu, m0, part) @ np.eye(10)
+    Sk = oblique_projection(P, mu, m0, part)
     Jk = deviation(P, mu) @ (np.eye(10) - Sk)
     lin = Jk @ (m0.probs - mu.probs)
     err0 = np.sqrt(np.sum((m0.probs - mu.probs) ** 2 / mu.probs))
